@@ -99,11 +99,8 @@ class InputReconstructor:
     the input block sitting ``output_delay + 1`` steps behind the newest
     sample is guaranteed unique; a null-space certificate at build time
     proves that block is pinned down, and it is the one returned.
-
-    ``window_matrix`` is the plain input-to-state map over the window,
-    kept for introspection: block column c stacks A^(t-c) B going down the
-    valid rows (the projected variant starts at the first power where the
-    observed combination reacts).
+    ``solver_pinv`` maps a window's observed left-hand side to the stacked
+    unknowns, and ``input_offset`` locates that input block in them.
     """
 
     A: np.ndarray
@@ -112,7 +109,6 @@ class InputReconstructor:
     window: int
     rel_degree: tuple
     output_delay: int
-    window_matrix: np.ndarray
     solver: np.ndarray
     solver_pinv: np.ndarray
     input_offset: int
@@ -249,21 +245,6 @@ def build_reconstructor(
             "enlarge the reconstruction window"
         )
 
-    # Introspection form of the input-to-state map over the window.
-    if g == 0:
-        window_matrix = solver.copy()
-    else:
-        rows = []
-        for t in range(1, window + 1):
-            row = []
-            for c in range(1, window + 1):
-                if t >= c:
-                    row.append(out_map @ matrix_power(A, output_delay - 1 + t - c) @ B)
-                else:
-                    row.append(np.zeros((p, m)))
-            rows.append(np.hstack(row))
-        window_matrix = np.vstack(rows)
-
     return InputReconstructor(
         A=A.copy(),
         B=B.copy(),
@@ -271,7 +252,6 @@ def build_reconstructor(
         window=window,
         rel_degree=tuple(degrees),
         output_delay=output_delay,
-        window_matrix=window_matrix,
         solver=solver,
         solver_pinv=pseudo_inverse(solver),
         input_offset=input_offset,

@@ -20,7 +20,14 @@ from pathlib import Path
 
 from .errors import ConfigurationError, CovaccError
 from .numerics import spectral_radius
-from .scenario import ScenarioConfig, ThresholdPolicy, build_designs, load_scenario, run
+from .scenario import (
+    ScenarioConfig,
+    ThresholdPolicy,
+    build_designs,
+    default_calibration_window,
+    load_scenario,
+    run,
+)
 
 
 def bundled_scenarios() -> list:
@@ -54,11 +61,8 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
             )
         config = replace(config, horizon=args.horizon)
     if getattr(args, "calibrate", False) and config.thresholds.mode != "calibrate":
-        hi = config.attack.onset if config.attack is not None else min(20, config.horizon)
-        config = replace(
-            config,
-            thresholds=ThresholdPolicy(mode="calibrate", window=(min(10, hi), hi)),
-        )
+        window = default_calibration_window(config.attack, config.horizon)
+        config = replace(config, thresholds=ThresholdPolicy(mode="calibrate", window=window))
     return config
 
 

@@ -14,7 +14,7 @@ same tick.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,7 +46,6 @@ class DetectionState:
 
     threshold: float
     prev_error: np.ndarray = None
-    history: list = field(default_factory=list)
     decided: bool = False
     decided_step: int = None
 
@@ -95,7 +94,9 @@ def emit_alarm(
 def decide_attack(inbound: Mapping[int, AlarmSignal], neighbor_set: Sequence[int]) -> bool:
     """Unanimity over the inbound neighbors.
 
-    True only when every inbound neighbor's alarm is active this step.  A
+    True only when every inbound neighbor's alarm is active this step.
+    ``inbound`` is any mapping from node to alarm that contains every node
+    of ``neighbor_set``; the runner passes the whole network's alarms.  A
     node with no inbound neighbors never decides: it has no witnesses, and
     a vacuous unanimity would declare it attacked forever.
     """

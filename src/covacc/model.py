@@ -26,15 +26,29 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def _matrix(value, label: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2:
-        raise ConfigurationError(f"{label}: expected a matrix, got ndim={arr.ndim}")
+def _floats(value, label: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{label}: expected numbers: {exc}") from None
+
+
+def _finite(arr: np.ndarray, label: str) -> np.ndarray:
+    """Load-time guard; the per-step conversions skip it."""
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{label}: entries must be finite")
     return arr
 
 
+def _matrix(value, label: str) -> np.ndarray:
+    arr = np.atleast_2d(_floats(value, label))
+    if arr.ndim != 2:
+        raise ConfigurationError(f"{label}: expected a matrix, got ndim={arr.ndim}")
+    return _finite(arr, label)
+
+
 def _vector(value, dim: int, label: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+    arr = np.atleast_1d(_floats(value, label))
     if arr.shape != (dim,):
         raise ConfigurationError(f"{label}: expected length {dim}, got shape {arr.shape}")
     return arr
@@ -63,6 +77,7 @@ class Subsystem:
         if C.shape[1] != n or C.shape[0] < 1:
             raise ConfigurationError(f"{tag}.C: expected {n} columns, got {C.shape}")
         x0 = np.zeros(n) if self.x0 is None else _vector(self.x0, n, f"{tag}.x0")
+        _finite(x0, f"{tag}.x0")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -166,48 +181,35 @@ class Topology:
 class AttackerState:
     """Covert injector pinned to one node.
 
-    ``signal`` gives the injected actuator input as a function of the step
-    index; it is ignored before ``onset``.  ``state`` is the private
-    replica state, held at zero until the attack starts.
+    ``model`` is the target node itself: the replica runs the target's own
+    A, B and C, which is what makes the mask cancel the injection's effect
+    on the measurements exactly.  ``signal`` gives the injected actuator
+    input as a function of the step index; it is ignored before ``onset``.
+    ``state`` is the private replica state, held at zero until the attack
+    starts.
     """
 
-    target: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
+    model: Subsystem
     onset: int
     signal: Callable[[int], np.ndarray]
     state: np.ndarray = None
 
     def __post_init__(self):
-        tag = f"attacker on node {self.target}"
-        self.A = _matrix(self.A, f"{tag}: A")
-        n = self.A.shape[0]
-        self.B = _matrix(self.B, f"{tag}: B")
-        self.C = _matrix(self.C, f"{tag}: C")
-        if self.A.shape != (n, n) or self.B.shape[0] != n or self.C.shape[1] != n:
-            raise ConfigurationError(f"{tag}: inconsistent model dimensions")
+        tag = f"attacker on node {self.model.index}"
         if self.onset < 0:
             raise ConfigurationError(f"{tag}: onset must be non-negative, got {self.onset}")
+        n = self.model.n
         self.state = np.zeros(n) if self.state is None else _vector(self.state, n, f"{tag}: state")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
 
     def injected(self, k: int) -> np.ndarray:
         """Injected input at step k, identically zero before onset."""
         if k < self.onset:
-            return np.zeros(self.m)
-        return _vector(self.signal(k), self.m, f"attacker signal at step {k}")
+            return np.zeros(self.model.m)
+        return _vector(self.signal(k), self.model.m, f"attacker signal at step {k}")
 
     def output_mask(self) -> np.ndarray:
         """The replica output currently being subtracted from the measurements."""
-        return self.C @ self.state
+        return self.model.C @ self.state
 
 
 def step_plant(
@@ -235,17 +237,17 @@ def step_plant(
 def step_attacker(attacker: AttackerState, u: np.ndarray, k: int):
     """Apply the injection at step k.
 
-    Returns (applied input, output mask, next replica state).  The caller
-    stores the next replica state back; before onset the input passes
-    through untouched and the replica stays at rest.
+    Returns (applied input, next replica state).  The caller stores the
+    next replica state back and reads the mask for step k from
+    ``attacker.output_mask()`` before doing so; before onset the input
+    passes through untouched and the replica stays at rest.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if k < attacker.onset:
-        return u.copy(), np.zeros(attacker.C.shape[0]), np.zeros(attacker.n)
+        return u.copy(), np.zeros(attacker.model.n)
     inj = attacker.injected(k)
-    mask = attacker.C @ attacker.state
-    state_next = attacker.A @ attacker.state + attacker.B @ inj
-    return u + inj, mask, state_next
+    model = attacker.model
+    return u + inj, model.A @ attacker.state + model.B @ inj
 
 
 def measured_output(subsystem: Subsystem, x: np.ndarray, output_mask: np.ndarray = None) -> np.ndarray:

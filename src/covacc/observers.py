@@ -50,7 +50,6 @@ class ObserverState:
     """Mutable runtime state of one node's observer pair."""
 
     z: np.ndarray
-    xhat_loc: np.ndarray
     xhat_coop: np.ndarray
 
 

@@ -43,7 +43,6 @@ from .accommodation import (
     reconstruct_input,
 )
 from .detection import (
-    AlarmSignal,
     DetectionState,
     aggregate_error,
     calibrate_thresholds,
@@ -55,6 +54,8 @@ from .model import (
     AttackerState,
     Subsystem,
     Topology,
+    _finite,
+    _vector,
     measured_output,
     step_attacker,
     step_plant,
@@ -71,7 +72,6 @@ class AttackSpec:
 
     target: int
     onset: int
-    signal_desc: dict
     signal: Callable[[int], np.ndarray]
 
 
@@ -101,25 +101,22 @@ class ScenarioConfig:
 
 
 def _signal_factory(desc: Mapping, m: int, onset: int, path: str) -> Callable[[int], np.ndarray]:
-    kind = desc.get("kind")
+    kind = _mapping(desc, path).get("kind")
     if kind not in _SIGNAL_KINDS:
         raise ConfigurationError(f"{path}.kind: expected one of {_SIGNAL_KINDS}, got {kind!r}")
 
     def as_vec(value, label):
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        if arr.shape != (m,):
-            raise ConfigurationError(f"{label}: expected length {m}, got shape {arr.shape}")
-        return arr
+        return _finite(_vector(value, m, label), label)
 
     if kind == "constant":
         value = as_vec(_require(desc, "value", path), f"{path}.value")
         return lambda k: value.copy()
     if kind == "sinusoid":
         amplitude = as_vec(desc.get("amplitude", 1.0), f"{path}.amplitude")
-        period = float(desc.get("period", 0.0))
+        period = _number(desc.get("period", 0.0), float, f"{path}.period")
         if period <= 0:
             raise ConfigurationError(f"{path}.period: must be positive")
-        phase = float(desc.get("phase", 0.0))
+        phase = _number(desc.get("phase", 0.0), float, f"{path}.phase")
         return lambda k: amplitude * math.sin(2.0 * math.pi * (k - onset) / period + phase)
     # table
     raw = desc.get("values")
@@ -144,6 +141,29 @@ def _require(doc: Mapping, key: str, path: str):
     if key not in doc:
         raise ConfigurationError(f"{path}.{key}: missing required field")
     return doc[key]
+
+
+def _number(value, kind: type, label: str):
+    """``kind(value)`` for a scenario field, or a ConfigurationError naming the field."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not math.isfinite(out):
+        raise ConfigurationError(f"{label}: expected a finite {kind.__name__}, got {value!r}")
+    return out
+
+
+def _mapping(value, label: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{label}: expected an object")
+    return value
+
+
+def default_calibration_window(attack: AttackSpec, horizon: int) -> tuple:
+    """``(min(10, hi), hi)`` with ``hi`` the attack onset, else ``min(20, horizon)``."""
+    hi = attack.onset if attack is not None else min(20, horizon)
+    return min(10, hi), hi
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -171,11 +191,13 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigurationError("scenario document: expected a JSON object at top level")
 
     name = str(doc.get("name", default_name))
-    horizon = int(doc.get("horizon", 100))
+    horizon = _number(doc.get("horizon", 100), int, "horizon")
     if horizon < 1:
         raise ConfigurationError(f"horizon: must be at least 1, got {horizon}")
-    control_radius = float(doc.get("control_spectral_radius", 0.5))
-    observer_radius = float(doc.get("observer_spectral_radius", 0.5))
+    control_radius, observer_radius = (
+        _number(doc.get(label, 0.5), float, label)
+        for label in ("control_spectral_radius", "observer_spectral_radius")
+    )
     for label, value in (("control_spectral_radius", control_radius),
                          ("observer_spectral_radius", observer_radius)):
         if not 0.0 < value < 1.0:
@@ -187,9 +209,8 @@ def load_scenario(source) -> ScenarioConfig:
     subsystems = {}
     for pos, entry in enumerate(raw_subs):
         tag = f"subsystems[{pos}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(f"{tag}: expected an object")
-        idx = int(_require(entry, "index", tag))
+        _mapping(entry, tag)
+        idx = _number(_require(entry, "index", tag), int, f"{tag}.index")
         if idx in subsystems:
             raise ConfigurationError(f"{tag}.index: duplicate index {idx}")
         subsystems[idx] = Subsystem(
@@ -205,18 +226,15 @@ def load_scenario(source) -> ScenarioConfig:
             f"subsystems: indices must be exactly 1..{n_nodes}, got {sorted(subsystems)}"
         )
 
-    raw_topo = _require(doc, "topology", "scenario")
-    raw_nbrs = _require(raw_topo, "neighbors", "topology")
+    raw_topo = _mapping(_require(doc, "topology", "scenario"), "topology")
+    raw_nbrs = _mapping(_require(raw_topo, "neighbors", "topology"), "topology.neighbors")
     neighbors = {}
     for key, value in raw_nbrs.items():
-        try:
-            i = int(key)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"topology.neighbors: bad node key {key!r}") from None
+        i = _number(key, int, "topology.neighbors")
         if not isinstance(value, list):
             raise ConfigurationError(f"topology.neighbors[{key}]: expected a list")
-        neighbors[i] = tuple(int(j) for j in value)
-    raw_coupling = raw_topo.get("coupling", {})
+        neighbors[i] = tuple(_number(j, int, f"topology.neighbors[{key}]") for j in value)
+    raw_coupling = _mapping(raw_topo.get("coupling", {}), "topology.coupling")
     default_block = raw_coupling.get("default")
     edges = raw_coupling.get("edges", [])
     overrides = {}
@@ -224,10 +242,9 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigurationError("topology.coupling.edges: expected a list")
     for pos, entry in enumerate(edges):
         tag = f"topology.coupling.edges[{pos}]"
-        if not isinstance(entry, Mapping):
-            raise ConfigurationError(f"{tag}: expected an object")
-        i = int(_require(entry, "i", tag))
-        j = int(_require(entry, "j", tag))
+        _mapping(entry, tag)
+        i = _number(_require(entry, "i", tag), int, f"{tag}.i")
+        j = _number(_require(entry, "j", tag), int, f"{tag}.j")
         overrides[(i, j)] = _require(entry, "matrix", tag)
     coupling = {}
     for i in sorted(neighbors):
@@ -262,12 +279,11 @@ def load_scenario(source) -> ScenarioConfig:
     attack = None
     raw_attack = doc.get("attack")
     if raw_attack is not None:
-        if not isinstance(raw_attack, Mapping):
-            raise ConfigurationError("attack: expected an object")
-        target = int(_require(raw_attack, "target", "attack"))
+        _mapping(raw_attack, "attack")
+        target = _number(_require(raw_attack, "target", "attack"), int, "attack.target")
         if target not in subsystems:
             raise ConfigurationError(f"attack.target: node {target} out of range 1..{n_nodes}")
-        onset = int(_require(raw_attack, "onset", "attack"))
+        onset = _number(_require(raw_attack, "onset", "attack"), int, "attack.onset")
         if onset < 0:
             raise ConfigurationError(f"attack.onset: must be non-negative, got {onset}")
         if onset >= horizon:
@@ -276,24 +292,21 @@ def load_scenario(source) -> ScenarioConfig:
             )
         raw_signal = _require(raw_attack, "signal", "attack")
         signal = _signal_factory(raw_signal, subsystems[target].m, onset, "attack.signal")
-        attack = AttackSpec(target=target, onset=onset, signal_desc=dict(raw_signal), signal=signal)
+        attack = AttackSpec(target=target, onset=onset, signal=signal)
 
-    raw_thresh = doc.get("thresholds", {"mode": "calibrate"})
-    if not isinstance(raw_thresh, Mapping):
-        raise ConfigurationError("thresholds: expected an object")
+    raw_thresh = _mapping(doc.get("thresholds", {"mode": "calibrate"}), "thresholds")
     mode = raw_thresh.get("mode", "calibrate")
     if mode == "calibrate":
-        default_hi = attack.onset if attack is not None else min(20, horizon)
-        window = raw_thresh.get("window", [min(10, default_hi), default_hi])
+        window = raw_thresh.get("window", default_calibration_window(attack, horizon))
         if (not isinstance(window, (list, tuple))) or len(window) != 2:
             raise ConfigurationError("thresholds.window: expected [start, end]")
-        lo, hi = int(window[0]), int(window[1])
+        lo, hi = (_number(v, int, "thresholds.window") for v in window)
         if lo < 0 or hi < lo:
             raise ConfigurationError(f"thresholds.window: bad window [{lo},{hi})")
         thresholds = ThresholdPolicy(
             mode="calibrate",
-            factor=float(raw_thresh.get("factor", 2.0)),
-            floor=float(raw_thresh.get("floor", 1e-6)),
+            factor=_number(raw_thresh.get("factor", 2.0), float, "thresholds.factor"),
+            floor=_number(raw_thresh.get("floor", 1e-6), float, "thresholds.floor"),
             window=(lo, hi),
         )
         if thresholds.factor <= 0:
@@ -301,13 +314,13 @@ def load_scenario(source) -> ScenarioConfig:
         if thresholds.floor < 0:
             raise ConfigurationError("thresholds.floor: must be non-negative")
     elif mode == "explicit":
-        raw_values = _require(raw_thresh, "values", "thresholds")
+        raw_values = _mapping(_require(raw_thresh, "values", "thresholds"), "thresholds.values")
         values = {}
         for key, val in raw_values.items():
-            i = int(key)
+            i = _number(key, int, "thresholds.values")
             if i not in subsystems:
                 raise ConfigurationError(f"thresholds.values: node {i} out of range")
-            values[i] = float(val)
+            values[i] = _number(val, float, f"thresholds.values[{i}]")
             if values[i] <= 0:
                 raise ConfigurationError(f"thresholds.values[{i}]: must be positive")
         missing = sorted(set(subsystems) - set(values))
@@ -319,12 +332,12 @@ def load_scenario(source) -> ScenarioConfig:
 
     recon_window = doc.get("reconstruction_window")
     if recon_window is not None:
-        recon_window = int(recon_window)
+        recon_window = _number(recon_window, int, "reconstruction_window")
         if recon_window < 1:
             raise ConfigurationError(f"reconstruction_window: must be positive, got {recon_window}")
     arm_step = doc.get("arm_step")
     if arm_step is not None:
-        arm_step = int(arm_step)
+        arm_step = _number(arm_step, int, "arm_step")
         if arm_step < 0:
             raise ConfigurationError(f"arm_step: must be non-negative, got {arm_step}")
 
@@ -433,22 +446,23 @@ class ScenarioTrace:
     def series(self, node: int, fieldname: str) -> np.ndarray:
         return self.data[node][fieldname]
 
+    def _widths(self) -> dict:
+        """Columns per vector field: the largest node's dimension."""
+        return {
+            fieldname: max(self.data[i][fieldname].shape[1] for i in self.nodes)
+            for fieldname, _ in _VECTOR_FIELDS
+        }
+
     def column_names(self) -> list:
-        dims = {}
-        for fieldname, kind in _VECTOR_FIELDS:
-            dims[fieldname] = max(self.data[i][fieldname].shape[1] for i in self.nodes)
         names = ["step", "node"]
-        for fieldname, _ in _VECTOR_FIELDS:
-            names.extend(f"{fieldname}{c + 1}" for c in range(dims[fieldname]))
+        for fieldname, width in self._widths().items():
+            names.extend(f"{fieldname}{c + 1}" for c in range(width))
         names.extend(_SCALAR_FIELDS)
         return names
 
     def rows(self):
         """Yield CSV rows as lists of strings, one per (step, node)."""
-        dims = {
-            fieldname: max(self.data[i][fieldname].shape[1] for i in self.nodes)
-            for fieldname, _ in _VECTOR_FIELDS
-        }
+        dims = self._widths()
         for k in range(self.horizon):
             for i in self.nodes:
                 row = [str(k), str(i)]
@@ -476,7 +490,7 @@ def _resolve_thresholds(config: ScenarioConfig, designs: dict) -> tuple:
         arm = config.arm_step if config.arm_step is not None else 0
         return dict(policy.values), arm
     quiet = replace(config, attack=None, name=f"{config.name}-calibration")
-    trace = _simulate(quiet, designs, thresholds={}, arm_step=0, detect=False, accommodate=False)
+    trace = _simulate(quiet, designs, {}, 0)
     history = {i: trace.series(i, "resid_coop") for i in trace.nodes}
     values = calibrate_thresholds(
         history, factor=policy.factor, floor=policy.floor, window=policy.window
@@ -485,25 +499,26 @@ def _resolve_thresholds(config: ScenarioConfig, designs: dict) -> tuple:
     return values, arm
 
 
-def run(config: ScenarioConfig, detect: bool = True, accommodate: bool = True) -> ScenarioTrace:
+def run(config: ScenarioConfig, detect: bool = True) -> ScenarioTrace:
     """Run a scenario end to end and return the trace.
 
-    ``detect=False`` silences the whole alarm layer (useful for twin
-    comparisons); ``accommodate=False`` keeps detection but never corrects.
+    ``detect=False`` runs without thresholds (useful for twin comparisons):
+    every threshold is infinite, so no alarm rises, no node decides and
+    accommodation never starts.  The calibration rehearsal is skipped, so
+    such a trace reports ``inf`` for every node's threshold and 0 for
+    ``arm_step``.
     """
     designs = build_designs(config)
+    if not detect:
+        return _simulate(config, designs, {}, 0)
     thresholds, arm_step = _resolve_thresholds(config, designs)
-    return _simulate(config, designs, thresholds, arm_step, detect, accommodate)
+    return _simulate(config, designs, thresholds, arm_step)
 
 
 def _simulate(
-    config: ScenarioConfig,
-    designs: dict,
-    thresholds: dict,
-    arm_step: int,
-    detect: bool,
-    accommodate: bool,
+    config: ScenarioConfig, designs: dict, thresholds: dict, arm_step: int
 ) -> ScenarioTrace:
+    """One closed-loop run; a node missing from ``thresholds`` never alarms."""
     subsystems = config.subsystems
     topology = config.topology
     nodes = tuple(sorted(subsystems))
@@ -514,24 +529,14 @@ def _simulate(
     target = None
     if config.attack is not None:
         target = config.attack.target
-        sub = subsystems[target]
         attacker = AttackerState(
-            target=target,
-            A=sub.A.copy(),
-            B=sub.B.copy(),
-            C=sub.C.copy(),
-            onset=config.attack.onset,
-            signal=config.attack.signal,
+            model=subsystems[target], onset=config.attack.onset, signal=config.attack.signal
         )
         acc = AccommodationState()
 
     states = {i: subsystems[i].x0.copy() for i in nodes}
     obs = {
-        i: ObserverState(
-            z=np.zeros(subsystems[i].n),
-            xhat_loc=np.zeros(subsystems[i].n),
-            xhat_coop=np.zeros(subsystems[i].n),
-        )
+        i: ObserverState(z=np.zeros(subsystems[i].n), xhat_coop=np.zeros(subsystems[i].n))
         for i in nodes
     }
     det = {i: DetectionState(threshold=thresholds.get(i, math.inf)) for i in nodes}
@@ -565,28 +570,21 @@ def _simulate(
         alarms = {}
         for i in nodes:
             agg = aggregate_error(err_coop[i], det[i].prev_error, designs[i].coop_transition)
-            if detect:
-                alarms[i] = emit_alarm(
-                    origin=i,
-                    step=k,
-                    residual_norm=resid_coop[i],
-                    threshold=det[i].threshold,
-                    aggregate=agg,
-                    dim=subsystems[i].n,
-                    armed=k >= arm_step,
-                )
-            else:
-                alarms[i] = AlarmSignal(origin=i, step=k, payload=np.zeros(subsystems[i].n))
+            alarms[i] = emit_alarm(
+                origin=i,
+                step=k,
+                residual_norm=resid_coop[i],
+                threshold=det[i].threshold,
+                aggregate=agg,
+                dim=subsystems[i].n,
+                armed=k >= arm_step,
+            )
 
         # 4. decisions
-        if detect:
-            for i in nodes:
-                if det[i].decided:
-                    continue
-                inbound = topology.inbound(i)
-                if decide_attack({j: alarms[j] for j in inbound}, inbound):
-                    det[i].decided = True
-                    det[i].decided_step = k
+        for i in nodes:
+            if not det[i].decided and decide_attack(alarms, topology.inbound(i)):
+                det[i].decided = True
+                det[i].decided_step = k
 
         # 5. accommodation
         zeros_n = {i: np.zeros(subsystems[i].n) for i in nodes}
@@ -594,12 +592,7 @@ def _simulate(
         xa_pub = dict(zeros_n)
         xa_fwd = dict(zeros_n)
         inj_hat = {i: np.zeros(subsystems[i].m) for i in nodes}
-        if (
-            accommodate
-            and acc is not None
-            and det[target].decided
-            and k > det[target].decided_step
-        ):
+        if acc is not None and det[target].decided and k > det[target].decided_step:
             decided_nodes = [i for i in nodes if det[i].decided]
             if len(decided_nodes) > 1:
                 raise ProtocolError(
@@ -647,7 +640,7 @@ def _simulate(
         if attacker is not None:
             inj[target] = attacker.injected(k)
             xa_now[target] = attacker.state.copy()
-            u_applied[target], _, attacker_next = step_attacker(attacker, u[target], k)
+            u_applied[target], attacker_next = step_attacker(attacker, u[target], k)
 
         for i in nodes:
             row = log[i]
@@ -686,7 +679,6 @@ def _simulate(
                 xhat_loc,
             )
             det[i].prev_error = err_coop[i]
-            det[i].history.append(resid_coop[i])
 
     data = {
         i: {

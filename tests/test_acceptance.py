@@ -52,7 +52,7 @@ def first_active_step(trace, node):
 class TestCovertness:
     def test_criterion_1_masked_outputs_match_nominal_twin(self, fullrank_config):
         t0 = time.monotonic()
-        trace = run(fullrank_config, detect=False, accommodate=False)
+        trace = run(fullrank_config, detect=False)
         elapsed = time.monotonic() - t0
 
         cfg = fullrank_config

@@ -1,6 +1,8 @@
 """Command line behavior: outputs, diagnostics, exit codes."""
 
 import json
+import math
+from importlib import resources
 
 import pytest
 
@@ -29,6 +31,17 @@ def broken_doc():
     }
 
 
+# (path into the bundled fullrank document, malformed value)
+MALFORMED = {
+    "nan_in_A": (("subsystems", 0, "A"), [[math.nan, 0.2], [0.0, 0.3]]),
+    "ragged_A": (("subsystems", 0, "A"), [[0.4, 0.2], [0.0]]),
+    "horizon_not_int": (("horizon",), "abc"),
+    "neighbor_not_int": (("topology", "neighbors", "1"), ["x"]),
+    "neighbors_as_list": (("topology", "neighbors"), [[2, 3]]),
+    "inf_attack_value": (("attack", "signal", "value"), [math.inf]),
+}
+
+
 class TestBundled:
     def test_both_scenarios_ship(self):
         assert bundled_scenarios() == ["five_node_fullrank", "five_node_lowrank"]
@@ -48,6 +61,20 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config:")
+
+    @pytest.mark.parametrize("path, value", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_scenario_exits_2(self, capsys, tmp_path, path, value):
+        text = resources.files("covacc").joinpath("scenarios/five_node_fullrank.json").read_text()
+        doc = json.loads(text)
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        src = tmp_path / "malformed.json"
+        src.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(src), "--out", str(tmp_path / "trace.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config:")
 
     def test_unknown_name_exits_2(self, capsys):
         assert main(["validate", "--scenario", "no_such_scenario"]) == 2

@@ -132,20 +132,22 @@ class TestStepPlant:
 class TestStepAttacker:
     def make(self, onset=5):
         return AttackerState(
-            target=3, A=A, B=B, C=C2, onset=onset, signal=lambda k: np.array([1.0])
+            model=Subsystem(index=3, A=A, B=B, C=C2), onset=onset, signal=lambda k: np.array([1.0])
         )
 
     def test_before_onset_passthrough(self):
         atk = self.make(onset=5)
         u = np.array([0.7])
-        applied, mask, state = step_attacker(atk, u, 4)
+        mask = atk.output_mask()
+        applied, state = step_attacker(atk, u, 4)
         np.testing.assert_array_equal(applied, u)
         np.testing.assert_array_equal(mask, np.zeros(2))
         np.testing.assert_array_equal(state, np.zeros(2))
 
     def test_at_onset(self):
         atk = self.make(onset=5)
-        applied, mask, state = step_attacker(atk, np.array([0.7]), 5)
+        mask = atk.output_mask()
+        applied, state = step_attacker(atk, np.array([0.7]), 5)
         np.testing.assert_allclose(applied, [1.7])
         np.testing.assert_array_equal(mask, np.zeros(2))  # replica starts at rest
         np.testing.assert_allclose(state, [0.0, 1.0])  # B @ 1
@@ -153,7 +155,7 @@ class TestStepAttacker:
     def test_replica_reaches_geometric_limit(self):
         atk = self.make(onset=0)
         for k in range(200):
-            _, _, atk.state = step_attacker(atk, np.zeros(1), k)
+            _, atk.state = step_attacker(atk, np.zeros(1), k)
         limit = np.linalg.solve(np.eye(2) - A, B @ np.array([1.0]))
         np.testing.assert_allclose(atk.state, limit, atol=1e-12)
         np.testing.assert_allclose(limit, [10.0 / 21.0, 10.0 / 7.0], atol=1e-12)
@@ -184,13 +186,14 @@ class TestCovertness:
         subs = {i: Subsystem(index=i, A=A, B=B, C=C2) for i in range(1, 6)}
         topo = five_node_topology(np.diag([0.1, -0.01]))
         atk = AttackerState(
-            target=3, A=A, B=B, C=C2, onset=10, signal=lambda k: np.array([np.sin(0.2 * k) + 1.0])
+            model=subs[3], onset=10, signal=lambda k: np.array([np.sin(0.2 * k) + 1.0])
         )
         states = {i: rng.standard_normal(2) * 0.1 for i in subs}
         twin = states[3].copy()
         for k in range(60):
             cmds = {i: rng.standard_normal(1) * 0.05 for i in subs}
-            applied, mask, nxt_replica = step_attacker(atk, cmds[3], k)
+            mask = atk.output_mask()
+            applied, nxt_replica = step_attacker(atk, cmds[3], k)
             y3 = measured_output(subs[3], states[3], output_mask=mask)
             y_twin = measured_output(subs[3], twin)
             np.testing.assert_allclose(y3, y_twin, atol=1e-9)

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -159,6 +160,26 @@ class TestRunBasics:
         kd = fullrank_trace.decision_steps[3]
         assert all(v == 0 for v in decided[:kd])
         assert all(v == 1 for v in decided[kd:])
+
+
+class TestDetectOff:
+    @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
+    def test_same_trajectory_until_compensation(self, request, name):
+        config = request.getfixturevalue(f"{name}_config")
+        detected = request.getfixturevalue(f"{name}_trace")
+        blind = run(config, detect=False)
+        assert all(t == math.inf for t in blind.thresholds.values())
+        assert blind.arm_step == 0
+        # the first step whose control law carries the attack corrections
+        phase = detected.series(config.attack.target, "phase")
+        first = int(np.argmax(phase == 2))
+        assert phase[first] == 2 and first > config.attack.onset
+        for fieldname in ("x", "xa", "xhat_loc", "xhat_coop", "ymeas", "u", "u_applied",
+                          "inj", "resid_loc", "resid_coop"):
+            for i in blind.nodes:
+                np.testing.assert_array_equal(
+                    blind.series(i, fieldname)[:first], detected.series(i, fieldname)[:first]
+                )
 
 
 class TestTraceFormat:
