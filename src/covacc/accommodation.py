@@ -101,6 +101,8 @@ class InputReconstructor:
     proves that block is pinned down, and it is the one returned.
     ``solver_pinv`` maps a window's observed left-hand side to the stacked
     unknowns, and ``input_offset`` locates that input block in them.
+    ``anchor_maps[t - 1]`` is ``P A^t`` (``P`` the interacting map), which
+    carries the anchor's interacting part ``t`` steps forward.
     """
 
     A: np.ndarray
@@ -112,6 +114,7 @@ class InputReconstructor:
     solver: np.ndarray
     solver_pinv: np.ndarray
     input_offset: int
+    anchor_maps: tuple
 
 
 def _relative_degrees(A: np.ndarray, B: np.ndarray, out_map: np.ndarray) -> list:
@@ -255,6 +258,7 @@ def build_reconstructor(
         solver=solver,
         solver_pinv=pseudo_inverse(solver),
         input_offset=input_offset,
+        anchor_maps=tuple(out_map @ matrix_power(A, t) for t in range(1, window + 1)),
     )
 
 
@@ -276,7 +280,7 @@ def reconstruct_input(recon: InputReconstructor, samples: Sequence[np.ndarray]):
     anchor = P.T @ (P @ np.asarray(recent[0], dtype=float))
     lhs = np.concatenate(
         [
-            P @ np.asarray(recent[t], dtype=float) - P @ matrix_power(recon.A, t) @ anchor
+            P @ np.asarray(recent[t], dtype=float) - recon.anchor_maps[t - 1] @ anchor
             for t in range(1, recon.window + 1)
         ]
     )

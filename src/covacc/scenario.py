@@ -20,7 +20,6 @@ Tick order (all quantities of step k before anything advances):
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -144,12 +143,16 @@ def _require(doc: Mapping, key: str, path: str):
 
 
 def _number(value, kind: type, label: str):
-    """``kind(value)`` for a scenario field, or a ConfigurationError naming the field."""
+    """``kind(value)`` for a scenario field, or a ConfigurationError naming the field.
+
+    A fractional number for an ``int`` field is an error, not a truncation
+    (``100.0`` is fine).
+    """
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or not math.isfinite(out):
+    if out is None or not math.isfinite(out) or (isinstance(value, float) and out != value):
         raise ConfigurationError(f"{label}: expected a finite {kind.__name__}, got {value!r}")
     return out
 
@@ -423,20 +426,58 @@ _VECTOR_FIELDS = (
 _SCALAR_FIELDS = ("resid_loc", "resid_coop", "alarm_on", "decided", "phase")
 _INT_FIELDS = {"alarm_on", "decided", "phase"}
 
+# Rows per write in ScenarioTrace.to_csv: enough to amortize the formatting
+# call, few enough that the text never weighs on peak memory.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _column_index(subsystems: Mapping[int, Subsystem]) -> dict:
+    """Where each field sits in a node's rows of the trace table.
+
+    A node's row holds step and node in columns 0 and 1, then its vector
+    fields at its own dimensions, then the scalar fields, with no gaps:
+    ``{node: {field: slice for a vector field, column for a scalar}}``.
+    Columns past a smaller node's last scalar stay zero.
+    """
+    index = {}
+    for i in sorted(subsystems):
+        col = 2
+        cols = {}
+        for fieldname, attr in _VECTOR_FIELDS:
+            dim = getattr(subsystems[i], attr)
+            cols[fieldname] = slice(col, col + dim)
+            col += dim
+        for col, fieldname in enumerate(_SCALAR_FIELDS, start=col):
+            cols[fieldname] = col
+        index[i] = cols
+    return index
+
+
+def _column_label(cols: Mapping[str, object], col: int) -> str:
+    """The CSV column name of a field's table column in one node's rows."""
+    for fieldname, where in cols.items():
+        if isinstance(where, slice) and where.start <= col < where.stop:
+            return f"{fieldname}{col - where.start + 1}"
+        if where == col:
+            return fieldname
+
 
 @dataclass
 class ScenarioTrace:
     """Full per-step, per-node log of one run.
 
-    ``data[i][field]`` is an array of shape (horizon, dim) for vector
-    fields or (horizon,) for scalars.  ``series(i, field)`` is the same
-    thing with a friendlier name.
+    ``table`` is a read-only float array with one row per (step, node),
+    step-major like the CSV; ``index[node]`` locates each field in that
+    node's rows (see ``_column_index``).  ``series(i, field)`` is a
+    read-only view of shape (horizon, dim) for vector fields or (horizon,)
+    for scalars; the int fields come back as floats holding integers.
     """
 
     name: str
     horizon: int
     nodes: tuple
-    data: dict
+    table: np.ndarray
+    index: dict
     thresholds: dict
     arm_step: int
     decision_steps: dict
@@ -444,12 +485,13 @@ class ScenarioTrace:
     config: ScenarioConfig
 
     def series(self, node: int, fieldname: str) -> np.ndarray:
-        return self.data[node][fieldname]
+        cols = self.index[node][fieldname]
+        return self.table[self.nodes.index(node)::len(self.nodes), cols]
 
     def _widths(self) -> dict:
         """Columns per vector field: the largest node's dimension."""
         return {
-            fieldname: max(self.data[i][fieldname].shape[1] for i in self.nodes)
+            fieldname: max(self.series(i, fieldname).shape[1] for i in self.nodes)
             for fieldname, _ in _VECTOR_FIELDS
         }
 
@@ -460,36 +502,54 @@ class ScenarioTrace:
         names.extend(_SCALAR_FIELDS)
         return names
 
-    def rows(self):
-        """Yield CSV rows as lists of strings, one per (step, node)."""
-        dims = self._widths()
-        for k in range(self.horizon):
-            for i in self.nodes:
-                row = [str(k), str(i)]
-                for fieldname, _ in _VECTOR_FIELDS:
-                    arr = self.data[i][fieldname]
-                    vals = arr[k]
-                    row.extend(f"{v:.17g}" for v in vals)
-                    row.extend("" for _ in range(dims[fieldname] - arr.shape[1]))
-                for fieldname in _SCALAR_FIELDS:
-                    v = self.data[i][fieldname][k]
-                    row.append(str(int(v)) if fieldname in _INT_FIELDS else f"{v:.17g}")
-                yield row
-
     def to_csv(self, path) -> None:
+        """Write the trace as ``csv.writer`` would write ``column_names()`` and the rows.
+
+        Floats at 17 significant digits, step, node and the int fields as
+        integers, an empty cell wherever a node's vector is shorter than the
+        widest, ``\\r\\n`` line ends.  Each node has one ``%``-format string;
+        the file is written a chunk of steps at a time.
+        """
+        n_nodes = len(self.nodes)
+        widths = self._widths()
+        formats = []
+        for i in self.nodes:
+            cells = ["%d", "%d"]
+            for fieldname, _ in _VECTOR_FIELDS:
+                dim = self.series(i, fieldname).shape[1]
+                cells += ["%.17g"] * dim + [""] * (widths[fieldname] - dim)
+            cells += ["%d" if f in _INT_FIELDS else "%.17g" for f in _SCALAR_FIELDS]
+            formats.append(",".join(cells) + "\r\n")
+        step_format = "".join(formats)
+        # the table cells the formats consume: each node's row up to its last scalar
+        last = np.array([[self.index[i][_SCALAR_FIELDS[-1]]] for i in self.nodes])
+        used = np.arange(self.table.shape[1]) <= last
+        chunk = max(1, _CSV_CHUNK_ROWS // n_nodes)
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(self.column_names())
-            writer.writerows(self.rows())
+            handle.write(",".join(self.column_names()) + "\r\n")
+            for k in range(0, self.horizon, chunk):
+                steps = min(chunk, self.horizon - k)
+                block = self.table[k * n_nodes:(k + steps) * n_nodes]
+                cells = block[np.tile(used, (steps, 1))].tolist()
+                handle.write((step_format * steps) % tuple(cells))
 
 
 def _resolve_thresholds(config: ScenarioConfig, designs: dict) -> tuple:
-    """Thresholds plus the arming step, calibrating on an attack-free run if asked."""
+    """Thresholds plus the arming step, calibrating on an attack-free run if asked.
+
+    The rehearsal stops at the calibration window's end: the run is causal,
+    so later steps cannot change the residuals the window reads.
+    """
     policy = config.thresholds
     if policy.mode == "explicit":
         arm = config.arm_step if config.arm_step is not None else 0
         return dict(policy.values), arm
-    quiet = replace(config, attack=None, name=f"{config.name}-calibration")
+    quiet = replace(
+        config,
+        attack=None,
+        name=f"{config.name}-calibration",
+        horizon=min(config.horizon, policy.window[1]),
+    )
     trace = _simulate(quiet, designs, {}, 0)
     history = {i: trace.series(i, "resid_coop") for i in trace.nodes}
     values = calibrate_thresholds(
@@ -541,11 +601,16 @@ def _simulate(
     }
     det = {i: DetectionState(threshold=thresholds.get(i, math.inf)) for i in nodes}
 
-    log = {
-        i: {fieldname: [] for fieldname, _ in _VECTOR_FIELDS}
-        | {fieldname: [] for fieldname in _SCALAR_FIELDS}
-        for i in nodes
+    index = _column_index(subsystems)
+    n_nodes = len(nodes)
+    # per node: the table columns of its vector fields, then of its scalars
+    vector_cols = {i: slice(2, index[i][_SCALAR_FIELDS[0]]) for i in nodes}
+    scalar_cols = {
+        i: slice(index[i][_SCALAR_FIELDS[0]], index[i][_SCALAR_FIELDS[-1]] + 1) for i in nodes
     }
+    table = np.zeros((horizon * n_nodes, max(c.stop for c in scalar_cols.values())))
+    table[:, 0] = np.repeat(np.arange(horizon), n_nodes)
+    table[:, 1] = np.tile(nodes, horizon)
 
     for k in range(horizon):
         # 1. measurements
@@ -642,26 +707,22 @@ def _simulate(
             xa_now[target] = attacker.state.copy()
             u_applied[target], attacker_next = step_attacker(attacker, u[target], k)
 
-        for i in nodes:
-            row = log[i]
-            row["x"].append(states[i].copy())
-            row["xa"].append(xa_now[i])
-            row["xhat_loc"].append(xhat_loc[i].copy())
-            row["xhat_coop"].append(obs[i].xhat_coop.copy())
-            row["ymeas"].append(ymeas[i].copy())
-            row["u"].append(u[i].copy())
-            row["u_applied"].append(u_applied[i].copy())
-            row["inj"].append(inj[i])
-            row["inj_hat"].append(inj_hat[i])
-            row["xa_ls"].append(xa_ls[i])
-            row["xa_pub"].append(xa_pub[i])
-            row["xa_fwd"].append(xa_fwd[i])
-            row["alarm"].append(alarms[i].payload.copy())
-            row["resid_loc"].append(resid_loc[i])
-            row["resid_coop"].append(resid_coop[i])
-            row["alarm_on"].append(int(alarms[i].active))
-            row["decided"].append(int(det[i].decided))
-            row["phase"].append(acc.phase if (acc is not None and i == target) else 0)
+        for pos, i in enumerate(nodes):
+            row = table[k * n_nodes + pos]
+            # in _VECTOR_FIELDS order, then in _SCALAR_FIELDS order
+            np.concatenate(
+                (states[i], xa_now[i], xhat_loc[i], obs[i].xhat_coop, ymeas[i], u[i],
+                 u_applied[i], inj[i], inj_hat[i], xa_ls[i], xa_pub[i], xa_fwd[i],
+                 alarms[i].payload),
+                out=row[vector_cols[i]],
+            )
+            row[scalar_cols[i]] = (
+                resid_loc[i],
+                resid_coop[i],
+                alarms[i].active,
+                det[i].decided,
+                acc.phase if (acc is not None and i == target) else 0,
+            )
 
         states = step_plant(subsystems, topology, states, u_applied)
         if attacker is not None:
@@ -680,19 +741,21 @@ def _simulate(
             )
             det[i].prev_error = err_coop[i]
 
-    data = {
-        i: {
-            fieldname: np.vstack(log[i][fieldname])
-            for fieldname, _ in _VECTOR_FIELDS
-        }
-        | {fieldname: np.asarray(log[i][fieldname]) for fieldname in _SCALAR_FIELDS}
-        for i in nodes
-    }
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        k, pos = divmod(int(row), n_nodes)
+        raise ProtocolError(
+            f"non-finite {_column_label(index[nodes[pos]], int(col))} on node {nodes[pos]} "
+            f"at step {k}; the run diverged"
+        )
+    table.flags.writeable = False
     return ScenarioTrace(
         name=config.name,
         horizon=horizon,
         nodes=nodes,
-        data=data,
+        table=table,
+        index=index,
         thresholds={i: det[i].threshold for i in nodes},
         arm_step=arm_step,
         decision_steps={i: det[i].decided_step for i in nodes},

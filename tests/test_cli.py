@@ -39,6 +39,8 @@ MALFORMED = {
     "neighbor_not_int": (("topology", "neighbors", "1"), ["x"]),
     "neighbors_as_list": (("topology", "neighbors"), [[2, 3]]),
     "inf_attack_value": (("attack", "signal", "value"), [math.inf]),
+    "horizon_fractional": (("horizon",), 100.7),
+    "onset_fractional": (("attack", "onset"), 20.9),
 }
 
 

@@ -1,15 +1,32 @@
 """Scenario loading, validation diagnostics, and trace output format."""
 
 import copy
+import csv
 import dataclasses
+import importlib.util
 import json
 import math
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covacc import ConfigurationError, load_scenario, run
+from covacc import (
+    ConfigurationError,
+    ProtocolError,
+    build_designs,
+    calibrate_thresholds,
+    load_scenario,
+    run,
+)
+from covacc.scenario import _resolve_thresholds, _simulate
+
+VECTOR_FIELDS = ("x", "xa", "xhat_loc", "xhat_coop", "ymeas", "u", "u_applied",
+                 "inj", "inj_hat", "xa_ls", "xa_pub", "xa_fwd", "alarm")
+SCALAR_FIELDS = ("resid_loc", "resid_coop", "alarm_on", "decided", "phase")
+INT_FIELDS = ("alarm_on", "decided", "phase")
 
 
 def bundled_doc(name):
@@ -31,6 +48,63 @@ def minimal_doc():
             "coupling": {"default": [[0.1, 0.0], [0.0, -0.01]]},
         },
     }
+
+
+def mixed_doc():
+    """Three nodes of state dimensions 2, 1 and 2; node 2 is attacked and accommodated."""
+    return {
+        "name": "mixed",
+        "horizon": 40,
+        "subsystems": [
+            {"index": 1, "A": [[0.4, 0.2], [0.0, 0.3]], "B": [[0.0], [1.0]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "x0": [0.5, -0.5]},
+            {"index": 2, "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "x0": [0.25]},
+            {"index": 3, "A": [[0.3, 0.1], [0.0, 0.2]], "B": [[1.0], [0.5]],
+             "C": [[1.0, 0.0], [0.0, 1.0]], "x0": [0.1, 0.2]},
+        ],
+        "topology": {
+            "neighbors": {"1": [2, 3], "2": [1, 3], "3": [1, 2]},
+            "coupling": {"edges": [
+                {"i": 1, "j": 2, "matrix": [[0.1], [0.05]]},
+                {"i": 1, "j": 3, "matrix": [[0.1, 0.0], [0.0, -0.05]]},
+                {"i": 2, "j": 1, "matrix": [[0.1, 0.05]]},
+                {"i": 2, "j": 3, "matrix": [[0.05, 0.1]]},
+                {"i": 3, "j": 1, "matrix": [[0.1, 0.0], [0.0, 0.1]]},
+                {"i": 3, "j": 2, "matrix": [[0.1], [0.1]]},
+            ]},
+        },
+        "attack": {"target": 2, "onset": 15, "signal": {"kind": "constant", "value": [1.0]}},
+    }
+
+
+def grid_doc(seed):
+    """The benchmark's seeded 10x10 grid scenario (``bench/gen_grid.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen_grid.py"
+    spec = importlib.util.spec_from_file_location("gen_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.generate(seed)
+
+
+def csv_writer_oracle(trace, path):
+    """The trace's rows formatted value by value and written by ``csv.writer``."""
+    widths = {f: max(trace.series(i, f).shape[1] for i in trace.nodes) for f in VECTOR_FIELDS}
+    header = ["step", "node"]
+    for f in VECTOR_FIELDS:
+        header += [f"{f}{c + 1}" for c in range(widths[f])]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header + list(SCALAR_FIELDS))
+        for k in range(trace.horizon):
+            for i in trace.nodes:
+                row = [str(k), str(i)]
+                for f in VECTOR_FIELDS:
+                    vals = trace.series(i, f)[k]
+                    row += [f"{v:.17g}" for v in vals] + [""] * (widths[f] - len(vals))
+                for f in SCALAR_FIELDS:
+                    v = trace.series(i, f)[k]
+                    row.append(str(int(v)) if f in INT_FIELDS else f"{v:.17g}")
+                writer.writerow(row)
 
 
 class TestLoadScenario:
@@ -124,6 +198,12 @@ class TestLoadScenario:
         with pytest.raises(ConfigurationError, match="kind"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("spelling", [30.0, "30"])
+    def test_integral_horizon_spellings_load(self, spelling):
+        doc = minimal_doc()
+        doc["horizon"] = spelling
+        assert load_scenario(doc).horizon == 30
+
     def test_from_file_path(self, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(minimal_doc()))
@@ -182,6 +262,66 @@ class TestDetectOff:
                 )
 
 
+class TestRehearsal:
+    """The calibration rehearsal stops at the window end without changing a threshold."""
+
+    @pytest.mark.parametrize("name", ["fullrank", "lowrank", "grid0"])
+    def test_thresholds_match_full_horizon_rehearsal(self, request, name):
+        if name == "grid0":
+            config = load_scenario(grid_doc(0))
+        else:
+            config = request.getfixturevalue(f"{name}_config")
+        policy = config.thresholds
+        assert policy.window[1] < config.horizon
+        designs = build_designs(config)
+        with warnings.catch_warnings():
+            # a rehearsal cut short of the window end would warn here
+            warnings.simplefilter("error")
+            values, arm = _resolve_thresholds(config, designs)
+        full = _simulate(dataclasses.replace(config, attack=None), designs, {}, 0)
+        assert full.horizon == config.horizon
+        want = calibrate_thresholds(
+            {i: full.series(i, "resid_coop") for i in full.nodes},
+            factor=policy.factor, floor=policy.floor, window=policy.window,
+        )
+        assert values == want
+        assert arm == policy.window[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_onset_zero_gives_floor_thresholds(self):
+        doc = bundled_doc("five_node_fullrank")
+        doc["attack"]["onset"] = 0
+        doc["thresholds"] = {"mode": "calibrate"}
+        config = load_scenario(doc)
+        assert config.thresholds.window == (0, 0)
+        trace = run(config)
+        assert trace.thresholds == {i: config.thresholds.floor for i in trace.nodes}
+        assert trace.arm_step == 0
+
+    def test_window_past_horizon_warns(self):
+        doc = minimal_doc()
+        doc["thresholds"] = {"mode": "calibrate", "window": [10, 40]}
+        config = load_scenario(doc)
+        with pytest.warns(RuntimeWarning, match="exceeds the recorded 30 steps"):
+            trace = run(config)
+        assert trace.arm_step == 40
+
+
+class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_raises(self):
+        doc = bundled_doc("five_node_fullrank")
+        doc["attack"]["signal"]["value"] = [1e308]
+        config = load_scenario(doc)
+        with pytest.raises(ProtocolError, match="non-finite resid_loc on node 1 at step 22"):
+            run(config, detect=False)
+
+    @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
+    def test_bundled_runs_stay_finite(self, request, name):
+        trace = request.getfixturevalue(f"{name}_trace")
+        assert np.isfinite(trace.table).all()
+
+
 class TestTraceFormat:
     def test_row_count_and_header(self, fullrank_trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -215,3 +355,33 @@ class TestTraceFormat:
                      "resid_loc", "resid_coop", "alarm_on", "decided", "phase"):
             series = fullrank_trace.series(3, name)
             assert len(series) == fullrank_trace.horizon
+
+    def test_series_views_are_read_only(self, fullrank_trace):
+        for name in VECTOR_FIELDS + SCALAR_FIELDS:
+            series = fullrank_trace.series(3, name)
+            assert not series.flags.writeable
+            with pytest.raises(ValueError):
+                series[0] = 0.0
+
+    def test_mixed_dimension_series_shapes(self):
+        trace = run(load_scenario(mixed_doc()))
+        assert trace.series(2, "x").shape == (40, 1)
+        assert trace.series(1, "x").shape == (40, 2)
+        assert trace.series(2, "u").shape == (40, 1)
+        assert trace.series(2, "resid_coop").shape == (40,)
+        assert trace.series(2, "phase").max() == 2
+
+    def test_csv_matches_csv_writer(self, fullrank_trace, tmp_path):
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        fullrank_trace.to_csv(fast)
+        csv_writer_oracle(fullrank_trace, oracle)
+        assert fast.read_bytes() == oracle.read_bytes()
+
+    def test_mixed_dimension_csv_matches_csv_writer(self, tmp_path):
+        trace = run(load_scenario(mixed_doc()))
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        trace.to_csv(fast)
+        csv_writer_oracle(trace, oracle)
+        assert fast.read_bytes() == oracle.read_bytes()
+        # node 2's rows pad its one-coordinate vectors with empty cells
+        assert b"\r\n0,2,0.25,,0,," in fast.read_bytes()
