@@ -21,11 +21,9 @@ from .accommodation import (
     merge_kernel_component,
     neighbor_cancellation_gains,
     reconstruct_input,
-    reconstruct_kernel_state,
 )
 from .detection import (
     AlarmSignal,
-    DetectionState,
     aggregate_error,
     calibrate_thresholds,
     decide_attack,
@@ -56,7 +54,6 @@ from .numerics import (
     stabilizing_gain,
 )
 from .observers import (
-    ObserverState,
     UioDesign,
     design_uio,
     step_distributed,
@@ -83,11 +80,9 @@ __all__ = [
     "AttackerState",
     "ConfigurationError",
     "CovaccError",
-    "DetectionState",
     "InputReconstructor",
     "LsEstimator",
     "NodeDesign",
-    "ObserverState",
     "ProjectionPair",
     "ProtocolError",
     "ScenarioConfig",
@@ -117,7 +112,6 @@ __all__ = [
     "observer_gain",
     "pseudo_inverse",
     "reconstruct_input",
-    "reconstruct_kernel_state",
     "run",
     "spectral_radius",
     "stabilizing_gain",

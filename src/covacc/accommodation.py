@@ -288,23 +288,6 @@ def reconstruct_input(recon: InputReconstructor, samples: Sequence[np.ndarray]):
     return theta[recon.input_offset:recon.input_offset + m].copy(), True
 
 
-def reconstruct_kernel_state(
-    A: np.ndarray,
-    B: np.ndarray,
-    input_history: Sequence[np.ndarray],
-) -> np.ndarray:
-    """Run the replica model forward from rest under the recovered inputs.
-
-    The alarms say nothing about the kernel directions, so this forward
-    model is the only route to them.  Returns the state after consuming
-    the whole history; its time tag is one past the newest input's.
-    """
-    x = np.zeros(np.atleast_2d(A).shape[0])
-    for v in input_history:
-        x = A @ x + B @ np.atleast_1d(np.asarray(v, dtype=float))
-    return x
-
-
 def merge_kernel_component(
     projection: ProjectionPair,
     ls_value: np.ndarray,

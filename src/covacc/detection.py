@@ -40,16 +40,6 @@ class AlarmSignal:
         return bool(np.any(self.payload))
 
 
-@dataclass
-class DetectionState:
-    """Mutable per-node detection bookkeeping."""
-
-    threshold: float
-    prev_error: np.ndarray = None
-    decided: bool = False
-    decided_step: int = None
-
-
 def aggregate_error(
     err_now: np.ndarray,
     err_prev: np.ndarray,

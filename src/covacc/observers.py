@@ -45,14 +45,6 @@ class UioDesign:
     E: np.ndarray
 
 
-@dataclass
-class ObserverState:
-    """Mutable runtime state of one node's observer pair."""
-
-    z: np.ndarray
-    xhat_coop: np.ndarray
-
-
 def design_uio(
     subsystem: Subsystem,
     inbound_blocks: Sequence[np.ndarray],

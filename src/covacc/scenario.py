@@ -7,6 +7,12 @@ with one fixed tick order and logs everything to a step-by-node trace
 that serializes to CSV with 17-significant-digit floats, so reruns of the
 same file are byte-identical.
 
+Between alarm and decision events the closed loop is one linear system
+over all nodes, so the runner advances the whole network as stacked
+vectors, not node by node.  The per-node functions (``step_plant``,
+``step_uio``, ``emit_alarm``, ``decide_attack``, ...) are the public
+per-node API, and the tests hold the runner to a loop built from them.
+
 Tick order (all quantities of step k before anything advances):
 
 1. measurements, masked at the attacked node
@@ -33,7 +39,6 @@ from .accommodation import (
     AccommodationState,
     InputReconstructor,
     LsEstimator,
-    accommodated_control,
     build_ls_estimator,
     build_reconstructor,
     ls_estimate,
@@ -41,26 +46,11 @@ from .accommodation import (
     neighbor_cancellation_gains,
     reconstruct_input,
 )
-from .detection import (
-    DetectionState,
-    aggregate_error,
-    calibrate_thresholds,
-    decide_attack,
-    emit_alarm,
-)
+from .detection import calibrate_thresholds
 from .errors import ConfigurationError, ProtocolError
-from .model import (
-    AttackerState,
-    Subsystem,
-    Topology,
-    _finite,
-    _vector,
-    measured_output,
-    step_attacker,
-    step_plant,
-)
+from .model import AttackerState, Subsystem, Topology, _finite, _vector, step_attacker
 from .numerics import observer_gain, pseudo_inverse, stabilizing_gain
-from .observers import ObserverState, UioDesign, design_uio, step_distributed, step_uio, uio_estimate
+from .observers import UioDesign, design_uio
 
 _SIGNAL_KINDS = ("constant", "sinusoid", "table")
 
@@ -367,7 +357,6 @@ class NodeDesign:
     coop_transition: np.ndarray
     feedback_gain: np.ndarray
     neighbor_gains: Mapping[int, np.ndarray]
-    inbound_coupling: Mapping[int, np.ndarray]
     C_pinv: np.ndarray
     ls: LsEstimator = None
     recon: InputReconstructor = None
@@ -400,7 +389,6 @@ def build_designs(config: ScenarioConfig) -> dict:
             # synthesized for x+ = A x - B K x; the control law adds, so negate
             feedback_gain=-stabilizing_gain(sub.A, sub.B, config.control_radius),
             neighbor_gains=neighbor_cancellation_gains(sub.B, inbound_coupling),
-            inbound_coupling=inbound_coupling,
             C_pinv=pseudo_inverse(sub.C),
             ls=ls,
             recon=recon,
@@ -575,100 +563,151 @@ def run(config: ScenarioConfig, detect: bool = True) -> ScenarioTrace:
     return _simulate(config, designs, thresholds, arm_step)
 
 
+def _stacked(nodes: tuple, rows: Mapping, cols: Mapping, block: Callable) -> np.ndarray:
+    """Dense matrix holding ``block(i)[j]`` at row segment ``rows[i]``, column segment ``cols[j]``."""
+    out = np.zeros((rows[nodes[-1]].stop, cols[nodes[-1]].stop))
+    for i in nodes:
+        for j, mat in block(i).items():
+            out[rows[i], cols[j]] = mat
+    return out
+
+
+def _check_finite(rows: np.ndarray, index: dict, nodes: tuple) -> None:
+    """Raise ProtocolError naming the first non-finite value in leading trace-table rows."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        k, pos = divmod(int(row), len(nodes))
+        raise ProtocolError(
+            f"non-finite {_column_label(index[nodes[pos]], int(col))} on node {nodes[pos]} "
+            f"at step {k}; the run diverged"
+        )
+
+
 def _simulate(
     config: ScenarioConfig, designs: dict, thresholds: dict, arm_step: int
 ) -> ScenarioTrace:
-    """One closed-loop run; a node missing from ``thresholds`` never alarms."""
+    """One closed-loop run; a node missing from ``thresholds`` never alarms.
+
+    Every quantity is one stacked vector over all nodes, each node's entries
+    at its own dimensions in node order.  The linear phases are products
+    with block matrices built here once, alarms and decisions are boolean
+    arrays, and only accommodation works on the target's segments.
+    """
     subsystems = config.subsystems
     topology = config.topology
     nodes = tuple(sorted(subsystems))
+    n_nodes = len(nodes)
     horizon = config.horizon
+
+    # seg[dim][i]: node i's entries in a stacked vector of dimension "n", "m" or "p"
+    seg = {}
+    for dim in "nmp":
+        sizes = [getattr(subsystems[i], dim) for i in nodes]
+        stops = np.cumsum(sizes).tolist()
+        seg[dim] = {i: slice(stop - size, stop) for i, size, stop in zip(nodes, sizes, stops)}
+    n_sizes = [subsystems[i].n for i in nodes]
+    n_starts = [seg["n"][i].start for i in nodes]
+    p_starts = [seg["p"][i].start for i in nodes]
+
+    def diagonal(rows, cols, block):
+        return _stacked(nodes, seg[rows], seg[cols], lambda i: {i: block(i)})
+
+    A = diagonal("n", "n", lambda i: subsystems[i].A)
+    B = diagonal("n", "m", lambda i: subsystems[i].B)
+    C = diagonal("p", "n", lambda i: subsystems[i].C)
+    H = diagonal("n", "p", lambda i: designs[i].uio.H)
+    F = diagonal("n", "n", lambda i: designs[i].uio.F)
+    T = diagonal("n", "n", lambda i: designs[i].uio.T)
+    K_uio = diagonal("n", "p", lambda i: designs[i].uio.K1 + designs[i].uio.K2)
+    C_pinv = diagonal("n", "p", lambda i: designs[i].C_pinv)
+    L = diagonal("n", "p", lambda i: designs[i].coop_gain)
+    G = diagonal("n", "n", lambda i: designs[i].coop_transition)
+    K = diagonal("m", "n", lambda i: designs[i].feedback_gain)
+    coupling = _stacked(
+        nodes, seg["n"], seg["n"],
+        lambda i: {j: topology.coupling[(i, j)] for j in topology.inbound(i)},
+    )
+    N = _stacked(nodes, seg["m"], seg["n"], lambda i: designs[i].neighbor_gains)
+    # inbound[i, j]: node j's alarm is a witness for node i
+    inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
+    witnessed = inbound.any(axis=1)
+    threshold = np.array([thresholds.get(i, math.inf) for i in nodes])
+    n_total, m_total = seg["n"][nodes[-1]].stop, seg["m"][nodes[-1]].stop
 
     attacker = None
     acc = None
-    target = None
     if config.attack is not None:
         target = config.attack.target
+        tpos = nodes.index(target)
+        tn, tm, tp = seg["n"][target], seg["m"][target], seg["p"][target]
         attacker = AttackerState(
             model=subsystems[target], onset=config.attack.onset, signal=config.attack.signal
         )
         acc = AccommodationState()
+        d = designs[target]
 
-    states = {i: subsystems[i].x0.copy() for i in nodes}
-    obs = {
-        i: ObserverState(z=np.zeros(subsystems[i].n), xhat_coop=np.zeros(subsystems[i].n))
-        for i in nodes
-    }
-    det = {i: DetectionState(threshold=thresholds.get(i, math.inf)) for i in nodes}
+    x = np.concatenate([subsystems[i].x0 for i in nodes])
+    z = np.zeros(n_total)
+    xhat_coop = np.zeros(n_total)
+    err_prev = np.zeros(n_total)
+    decided_step = np.full(n_nodes, -1)
+    phase = np.zeros(n_nodes)
 
     index = _column_index(subsystems)
-    n_nodes = len(nodes)
-    # per node: the table columns of its vector fields, then of its scalars
-    vector_cols = {i: slice(2, index[i][_SCALAR_FIELDS[0]]) for i in nodes}
-    scalar_cols = {
-        i: slice(index[i][_SCALAR_FIELDS[0]], index[i][_SCALAR_FIELDS[-1]] + 1) for i in nodes
-    }
-    table = np.zeros((horizon * n_nodes, max(c.stop for c in scalar_cols.values())))
+    width = max(index[i][_SCALAR_FIELDS[-1]] for i in nodes) + 1
+    table = np.zeros((horizon * n_nodes, width))
     table[:, 0] = np.repeat(np.arange(horizon), n_nodes)
     table[:, 1] = np.tile(nodes, horizon)
+    # where each entry of one step's logged vector (_VECTOR_FIELDS, then
+    # _SCALAR_FIELDS, each stacked over nodes) lands in that step's rows
+    dest = [
+        pos * width + col
+        for fieldname, _ in _VECTOR_FIELDS
+        for pos, i in enumerate(nodes)
+        for col in range(index[i][fieldname].start, index[i][fieldname].stop)
+    ]
+    dest += [pos * width + index[i][f] for f in _SCALAR_FIELDS for pos, i in enumerate(nodes)]
+    step_rows = table.reshape(horizon, n_nodes * width)
 
     for k in range(horizon):
         # 1. measurements
-        ymeas = {}
-        for i in nodes:
-            mask = attacker.output_mask() if (attacker is not None and i == target) else None
-            ymeas[i] = measured_output(subsystems[i], states[i], mask)
+        xa = np.zeros(n_total)
+        y = C @ x
+        if attacker is not None:
+            xa[tn] = attacker.state
+            y[tp] -= attacker.output_mask()
 
         # 2. estimates and received errors
-        xhat_loc = {}
-        err_coop = {}
-        resid_loc = {}
-        resid_coop = {}
-        for i in nodes:
-            d = designs[i]
-            xhat_loc[i] = uio_estimate(d.uio, obs[i].z, ymeas[i])
-            err_coop[i] = d.C_pinv @ (ymeas[i] - subsystems[i].C @ obs[i].xhat_coop)
-            resid_loc[i] = float(np.linalg.norm(ymeas[i] - subsystems[i].C @ xhat_loc[i]))
-            resid_coop[i] = float(np.linalg.norm(err_coop[i]))
+        xhat_loc = z + H @ y
+        innovation = y - C @ xhat_coop
+        err = C_pinv @ innovation
+        resid_loc = np.sqrt(np.add.reduceat((y - C @ xhat_loc) ** 2, p_starts))
+        resid_coop = np.sqrt(np.add.reduceat(err ** 2, n_starts))
 
-        # 3. aggregates and alarms
-        alarms = {}
-        for i in nodes:
-            agg = aggregate_error(err_coop[i], det[i].prev_error, designs[i].coop_transition)
-            alarms[i] = emit_alarm(
-                origin=i,
-                step=k,
-                residual_norm=resid_coop[i],
-                threshold=det[i].threshold,
-                aggregate=agg,
-                dim=subsystems[i].n,
-                armed=k >= arm_step,
-            )
+        # 3. aggregates and alarms: quiet until two samples exist and armed
+        loud = (resid_coop > threshold) & (k >= max(arm_step, 1))
+        alarm = np.where(np.repeat(loud, n_sizes), err - G @ err_prev, 0.0)
+        active = np.logical_or.reduceat(alarm != 0, n_starts)
 
-        # 4. decisions
-        for i in nodes:
-            if not det[i].decided and decide_attack(alarms, topology.inbound(i)):
-                det[i].decided = True
-                det[i].decided_step = k
+        # 4. decisions (latching): every inbound neighbor alarms
+        decided_step[(decided_step < 0) & witnessed & ~(inbound & ~active).any(axis=1)] = k
 
         # 5. accommodation
-        zeros_n = {i: np.zeros(subsystems[i].n) for i in nodes}
-        xa_ls = dict(zeros_n)
-        xa_pub = dict(zeros_n)
-        xa_fwd = dict(zeros_n)
-        inj_hat = {i: np.zeros(subsystems[i].m) for i in nodes}
-        if acc is not None and det[target].decided and k > det[target].decided_step:
-            decided_nodes = [i for i in nodes if det[i].decided]
+        xa_ls, xa_pub, xa_fwd = np.zeros((3, n_total))
+        inj_hat = np.zeros(m_total)
+        if acc is not None and 0 <= decided_step[tpos] < k:
+            decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
             if len(decided_nodes) > 1:
+                _check_finite(table[:k * n_nodes], index, nodes)
                 raise ProtocolError(
                     f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
                     "superpose and accommodation supports a single attacked node"
                 )
-            d = designs[target]
-            payloads = {j: alarms[j].payload for j in d.ls.sources}
+            payloads = {j: alarm[seg["n"][j]] for j in d.ls.sources}
             if d.ls.sources and all(np.any(p) for p in payloads.values()):
                 value = ls_estimate(d.ls, payloads)
-                xa_ls[target] = value
+                xa_ls[tn] = value
                 acc.push_sample(k, value, d.recon.window + 1)
             else:
                 acc.samples.clear()
@@ -677,78 +716,36 @@ def _simulate(
             estimate, ready = reconstruct_input(d.recon, [v for _, v in acc.samples])
             if ready:
                 acc.phase = 2
-                inj_hat[target] = estimate
+                inj_hat[tm] = estimate
                 acc.forward = d.recon.A @ acc.forward + d.recon.B @ estimate
-                xa_pub[target] = merge_kernel_component(d.ls.projection, xa_ls[target], acc.forward)
-                xa_fwd[target] = acc.forward.copy()
+                xa_pub[tn] = merge_kernel_component(d.ls.projection, xa_ls[tn], acc.forward)
+                xa_fwd[tn] = acc.forward
             else:
                 acc.phase = 1
+            phase[tpos] = acc.phase
 
         # 6. control
-        u = {}
-        for i in nodes:
-            d = designs[i]
-            u[i] = accommodated_control(
-                d.feedback_gain,
-                d.neighbor_gains,
-                xhat_loc[i],
-                xa_pub[i],
-                xhat_loc,
-                inj_hat[i],
-            )
+        u = K @ (xhat_loc + xa_pub) + N @ xhat_loc - inj_hat
 
         # 7. injection, logging, advance
-        u_applied = dict(u)
-        inj = {i: np.zeros(subsystems[i].m) for i in nodes}
-        xa_now = dict(zeros_n)
-        attacker_next = None
+        u_applied = u.copy()
+        inj = np.zeros(m_total)
         if attacker is not None:
-            inj[target] = attacker.injected(k)
-            xa_now[target] = attacker.state.copy()
-            u_applied[target], attacker_next = step_attacker(attacker, u[target], k)
+            inj[tm] = attacker.injected(k)
+            u_applied[tm], attacker.state = step_attacker(attacker, u[tm], k)
 
-        for pos, i in enumerate(nodes):
-            row = table[k * n_nodes + pos]
-            # in _VECTOR_FIELDS order, then in _SCALAR_FIELDS order
-            np.concatenate(
-                (states[i], xa_now[i], xhat_loc[i], obs[i].xhat_coop, ymeas[i], u[i],
-                 u_applied[i], inj[i], inj_hat[i], xa_ls[i], xa_pub[i], xa_fwd[i],
-                 alarms[i].payload),
-                out=row[vector_cols[i]],
-            )
-            row[scalar_cols[i]] = (
-                resid_loc[i],
-                resid_coop[i],
-                alarms[i].active,
-                det[i].decided,
-                acc.phase if (acc is not None and i == target) else 0,
-            )
-
-        states = step_plant(subsystems, topology, states, u_applied)
-        if attacker is not None:
-            attacker.state = attacker_next
-        for i in nodes:
-            d = designs[i]
-            obs[i].z = step_uio(d.uio, subsystems[i], obs[i].z, u[i], ymeas[i])
-            obs[i].xhat_coop = step_distributed(
-                subsystems[i],
-                d.coop_gain,
-                obs[i].xhat_coop,
-                u[i],
-                ymeas[i],
-                d.inbound_coupling,
-                xhat_loc,
-            )
-            det[i].prev_error = err_coop[i]
-
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        k, pos = divmod(int(row), n_nodes)
-        raise ProtocolError(
-            f"non-finite {_column_label(index[nodes[pos]], int(col))} on node {nodes[pos]} "
-            f"at step {k}; the run diverged"
+        step_rows[k, dest] = np.concatenate(
+            (x, xa, xhat_loc, xhat_coop, y, u, u_applied, inj, inj_hat, xa_ls, xa_pub,
+             xa_fwd, alarm, resid_loc, resid_coop, active, decided_step >= 0, phase)
         )
+
+        Bu = B @ u
+        x = A @ x + B @ u_applied + coupling @ x
+        z = F @ z + T @ Bu + K_uio @ y
+        xhat_coop = A @ xhat_coop + Bu + L @ innovation + coupling @ xhat_loc
+        err_prev = err
+
+    _check_finite(table, index, nodes)
     table.flags.writeable = False
     return ScenarioTrace(
         name=config.name,
@@ -756,9 +753,9 @@ def _simulate(
         nodes=nodes,
         table=table,
         index=index,
-        thresholds={i: det[i].threshold for i in nodes},
+        thresholds={i: thresholds.get(i, math.inf) for i in nodes},
         arm_step=arm_step,
-        decision_steps={i: det[i].decided_step for i in nodes},
+        decision_steps={i: (s if s >= 0 else None) for i, s in zip(nodes, decided_step.tolist())},
         designs=designs,
         config=config,
     )

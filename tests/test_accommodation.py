@@ -18,7 +18,6 @@ from covacc import (
     neighbor_cancellation_gains,
     pseudo_inverse,
     reconstruct_input,
-    reconstruct_kernel_state,
 )
 
 A = np.array([[0.4, 0.2], [0.0, 0.3]])
@@ -218,18 +217,6 @@ class TestReconstructInput:
 
 
 class TestForwardKernelModel:
-    def test_folding_matches_direct_recursion(self):
-        rng = np.random.default_rng(4)
-        inputs = [rng.standard_normal(1) for _ in range(10)]
-        folded = reconstruct_kernel_state(A, B, inputs)
-        x = np.zeros(2)
-        for v in inputs:
-            x = A @ x + B @ v
-        np.testing.assert_allclose(folded, x, atol=1e-12)
-
-    def test_empty_history_is_rest(self):
-        np.testing.assert_array_equal(reconstruct_kernel_state(A, B, []), np.zeros(2))
-
     def test_merge_full_rank_passthrough(self):
         proj = kernel_and_projection(np.vstack([BLK_FULL, BLK_FULL]))
         ls = np.array([0.3, 0.4])

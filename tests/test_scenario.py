@@ -14,12 +14,27 @@ import numpy as np
 import pytest
 
 from covacc import (
+    AccommodationState,
+    AttackerState,
     ConfigurationError,
     ProtocolError,
+    accommodated_control,
+    aggregate_error,
     build_designs,
     calibrate_thresholds,
+    decide_attack,
+    emit_alarm,
     load_scenario,
+    ls_estimate,
+    measured_output,
+    merge_kernel_component,
+    reconstruct_input,
     run,
+    step_attacker,
+    step_distributed,
+    step_plant,
+    step_uio,
+    uio_estimate,
 )
 from covacc.scenario import _resolve_thresholds, _simulate
 
@@ -105,6 +120,120 @@ def csv_writer_oracle(trace, path):
                     v = trace.series(i, f)[k]
                     row.append(str(int(v)) if f in INT_FIELDS else f"{v:.17g}")
                 writer.writerow(row)
+
+
+def reference_loop(config, designs, thresholds, arm_step):
+    """The closed loop node by node, from the public per-node functions alone.
+
+    Follows the runner's seven-phase tick order (see ``covacc.scenario``).
+    Returns ``({node: {field: array}}, {node: decision step or None})``
+    with the arrays shaped like ``ScenarioTrace.series``.
+    """
+    subs, topo = config.subsystems, config.topology
+    nodes = sorted(subs)
+    attacker = acc = target = None
+    if config.attack is not None:
+        target = config.attack.target
+        attacker = AttackerState(
+            model=subs[target], onset=config.attack.onset, signal=config.attack.signal
+        )
+        acc = AccommodationState()
+    x = {i: subs[i].x0.copy() for i in nodes}
+    z = {i: np.zeros(subs[i].n) for i in nodes}
+    xc = dict(z)
+    prev = dict.fromkeys(nodes)
+    decided = dict.fromkeys(nodes)
+    logs = {i: {f: [] for f in VECTOR_FIELDS + SCALAR_FIELDS} for i in nodes}
+    for k in range(config.horizon):
+        # 1. measurements, masked at the attacked node
+        y = {
+            i: measured_output(subs[i], x[i], attacker.output_mask() if i == target else None)
+            for i in nodes
+        }
+        # 2. decoupled estimates and received errors
+        xl = {i: uio_estimate(designs[i].uio, z[i], y[i]) for i in nodes}
+        err = {i: designs[i].C_pinv @ (y[i] - subs[i].C @ xc[i]) for i in nodes}
+        # 3. lagged aggregates and alarms
+        alarms = {
+            i: emit_alarm(
+                i, k, float(np.linalg.norm(err[i])), thresholds.get(i, math.inf),
+                aggregate_error(err[i], prev[i], designs[i].coop_transition), subs[i].n,
+                armed=k >= arm_step,
+            )
+            for i in nodes
+        }
+        # 4. decisions (latching)
+        for i in nodes:
+            if decided[i] is None and decide_attack(alarms, topo.inbound(i)):
+                decided[i] = k
+        # 5. accommodation
+        zero_n = {i: np.zeros(subs[i].n) for i in nodes}
+        xa_ls, xa_pub, xa_fwd = dict(zero_n), dict(zero_n), dict(zero_n)
+        inj_hat = {i: np.zeros(subs[i].m) for i in nodes}
+        if acc is not None and decided[target] is not None and k > decided[target]:
+            d = designs[target]
+            if d.ls.sources and all(alarms[j].active for j in d.ls.sources):
+                xa_ls[target] = ls_estimate(d.ls, {j: alarms[j].payload for j in d.ls.sources})
+                acc.push_sample(k, xa_ls[target], d.recon.window + 1)
+            else:
+                acc.samples.clear()
+            if acc.forward is None:
+                acc.forward = np.zeros(subs[target].n)
+            estimate, ready = reconstruct_input(d.recon, [v for _, v in acc.samples])
+            acc.phase = 2 if ready else 1
+            if ready:
+                inj_hat[target] = estimate
+                acc.forward = d.recon.A @ acc.forward + d.recon.B @ estimate
+                xa_pub[target] = merge_kernel_component(d.ls.projection, xa_ls[target], acc.forward)
+                xa_fwd[target] = acc.forward
+        # 6. control laws
+        u = {
+            i: accommodated_control(designs[i].feedback_gain, designs[i].neighbor_gains,
+                                    xl[i], xa_pub[i], xl, inj_hat[i])
+            for i in nodes
+        }
+        # 7. injection applied, then logging, then everything advances
+        applied, xa = dict(u), dict(zero_n)
+        inj = {i: np.zeros(subs[i].m) for i in nodes}
+        if attacker is not None:
+            inj[target], xa[target] = attacker.injected(k), attacker.state
+            applied[target], attacker.state = step_attacker(attacker, u[target], k)
+        for i in nodes:
+            values = (x[i], xa[i], xl[i], xc[i], y[i], u[i], applied[i], inj[i], inj_hat[i],
+                      xa_ls[i], xa_pub[i], xa_fwd[i], alarms[i].payload,
+                      np.linalg.norm(y[i] - subs[i].C @ xl[i]), np.linalg.norm(err[i]),
+                      alarms[i].active, decided[i] is not None,
+                      acc.phase if i == target else 0)
+            for f, v in zip(VECTOR_FIELDS + SCALAR_FIELDS, values):
+                logs[i][f].append(v)
+        x = step_plant(subs, topo, x, applied)
+        for i in nodes:
+            inbound = {j: topo.coupling[(i, j)] for j in topo.inbound(i)}
+            z[i] = step_uio(designs[i].uio, subs[i], z[i], u[i], y[i])
+            xc[i] = step_distributed(subs[i], designs[i].coop_gain, xc[i], u[i], y[i], inbound, xl)
+        prev = err
+    return {i: {f: np.array(v, dtype=float) for f, v in logs[i].items()} for i in nodes}, decided
+
+
+def reference_run(config, detect=True):
+    """``run`` rebuilt on ``reference_loop``: (series, thresholds, arm_step, decision_steps)."""
+    designs = build_designs(config)
+    policy = config.thresholds
+    if not detect:
+        thresholds, arm_step = dict.fromkeys(config.subsystems, math.inf), 0
+    elif policy.mode == "explicit":
+        thresholds = dict(policy.values)
+        arm_step = config.arm_step if config.arm_step is not None else 0
+    else:
+        quiet = dataclasses.replace(config, attack=None, horizon=min(config.horizon, policy.window[1]))
+        logs, _ = reference_loop(quiet, designs, {}, 0)
+        thresholds = calibrate_thresholds(
+            {i: logs[i]["resid_coop"] for i in logs},
+            factor=policy.factor, floor=policy.floor, window=policy.window,
+        )
+        arm_step = config.arm_step if config.arm_step is not None else policy.window[1]
+    logs, decided = reference_loop(config, designs, thresholds, arm_step)
+    return logs, thresholds, arm_step, decided
 
 
 class TestLoadScenario:
@@ -224,10 +353,15 @@ class TestRunBasics:
             final = trace.series(i, "x")[-1]
             assert np.linalg.norm(final) < 1e-8
 
-    def test_rerun_is_deterministic(self, fullrank_config, tmp_path):
+    @pytest.mark.parametrize("name", ["fullrank", "lowrank", "grid0"])
+    def test_rerun_is_deterministic(self, request, name, tmp_path):
+        if name == "grid0":
+            config = load_scenario(grid_doc(0))
+        else:
+            config = request.getfixturevalue(f"{name}_config")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(fullrank_config).to_csv(a)
-        run(fullrank_config).to_csv(b)
+        run(config).to_csv(a)
+        run(config).to_csv(b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_detection_means_no_decision(self, fullrank_blind_trace):
@@ -309,17 +443,54 @@ class TestRehearsal:
 
 class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverging_run_raises(self):
+    @pytest.mark.parametrize("detect", [True, False])
+    def test_diverging_run_raises(self, detect):
+        # with detection on, nodes decide on the diverged values: the
+        # divergence is still what gets reported
         doc = bundled_doc("five_node_fullrank")
         doc["attack"]["signal"]["value"] = [1e308]
         config = load_scenario(doc)
         with pytest.raises(ProtocolError, match="non-finite resid_loc on node 1 at step 22"):
-            run(config, detect=False)
+            run(config, detect=detect)
 
     @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
     def test_bundled_runs_stay_finite(self, request, name):
         trace = request.getfixturevalue(f"{name}_trace")
         assert np.isfinite(trace.table).all()
+
+
+class TestStackedRunner:
+    """The stacked tick against the per-node reference loop, to 1e-12."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case", ["fullrank", "lowrank", "blind", "attack_free", "mixed", "mixed_explicit", "grid0"]
+    )
+    def test_matches_per_node_reference(self, request, case):
+        detect = case != "blind"
+        if case.startswith("mixed"):
+            doc = mixed_doc()
+            if case == "mixed_explicit":
+                # armed from step 0: node 1's first residual (0.71) is past its threshold
+                doc["thresholds"] = {"mode": "explicit", "values": {"1": 0.3, "2": 0.3, "3": 0.3}}
+            config = load_scenario(doc)
+        elif case == "grid0":
+            config = load_scenario(grid_doc(0))
+        else:
+            config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
+            if case == "attack_free":
+                config = dataclasses.replace(config, attack=None)
+        trace = run(config, detect=detect)
+        series, thresholds, arm_step, decided = reference_run(config, detect=detect)
+        assert trace.decision_steps == decided
+        assert trace.arm_step == arm_step
+        assert trace.thresholds == pytest.approx(thresholds, rel=0, abs=1e-12)
+        for i in trace.nodes:
+            for fieldname in VECTOR_FIELDS + SCALAR_FIELDS:
+                np.testing.assert_allclose(
+                    trace.series(i, fieldname), series[i][fieldname], rtol=0, atol=1e-12,
+                    err_msg=f"node {i}, {fieldname}",
+                )
 
 
 class TestTraceFormat:
