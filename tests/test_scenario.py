@@ -1,7 +1,6 @@
 """Scenario loading, validation diagnostics, and trace output format."""
 
 import copy
-import csv
 import dataclasses
 import importlib.util
 import json
@@ -14,34 +13,16 @@ import numpy as np
 import pytest
 
 from covacc import (
-    AccommodationState,
-    AttackerState,
     ConfigurationError,
     ProtocolError,
-    accommodated_control,
-    aggregate_error,
     build_designs,
     calibrate_thresholds,
-    decide_attack,
-    emit_alarm,
     load_scenario,
-    ls_estimate,
-    measured_output,
-    merge_kernel_component,
-    reconstruct_input,
     run,
-    step_attacker,
-    step_distributed,
-    step_plant,
-    step_uio,
-    uio_estimate,
 )
 from covacc.scenario import _resolve_thresholds, _simulate
 
-VECTOR_FIELDS = ("x", "xa", "xhat_loc", "xhat_coop", "ymeas", "u", "u_applied",
-                 "inj", "inj_hat", "xa_ls", "xa_pub", "xa_fwd", "alarm")
-SCALAR_FIELDS = ("resid_loc", "resid_coop", "alarm_on", "decided", "phase")
-INT_FIELDS = ("alarm_on", "decided", "phase")
+from reference import SCALAR_FIELDS, VECTOR_FIELDS, csv_writer_oracle, reference_run
 
 
 def bundled_doc(name):
@@ -99,141 +80,6 @@ def grid_doc(seed):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.generate(seed)
-
-
-def csv_writer_oracle(trace, path):
-    """The trace's rows formatted value by value and written by ``csv.writer``."""
-    widths = {f: max(trace.series(i, f).shape[1] for i in trace.nodes) for f in VECTOR_FIELDS}
-    header = ["step", "node"]
-    for f in VECTOR_FIELDS:
-        header += [f"{f}{c + 1}" for c in range(widths[f])]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header + list(SCALAR_FIELDS))
-        for k in range(trace.horizon):
-            for i in trace.nodes:
-                row = [str(k), str(i)]
-                for f in VECTOR_FIELDS:
-                    vals = trace.series(i, f)[k]
-                    row += [f"{v:.17g}" for v in vals] + [""] * (widths[f] - len(vals))
-                for f in SCALAR_FIELDS:
-                    v = trace.series(i, f)[k]
-                    row.append(str(int(v)) if f in INT_FIELDS else f"{v:.17g}")
-                writer.writerow(row)
-
-
-def reference_loop(config, designs, thresholds, arm_step):
-    """The closed loop node by node, from the public per-node functions alone.
-
-    Follows the runner's seven-phase tick order (see ``covacc.scenario``).
-    Returns ``({node: {field: array}}, {node: decision step or None})``
-    with the arrays shaped like ``ScenarioTrace.series``.
-    """
-    subs, topo = config.subsystems, config.topology
-    nodes = sorted(subs)
-    attacker = acc = target = None
-    if config.attack is not None:
-        target = config.attack.target
-        attacker = AttackerState(
-            model=subs[target], onset=config.attack.onset, signal=config.attack.signal
-        )
-        acc = AccommodationState()
-    x = {i: subs[i].x0.copy() for i in nodes}
-    z = {i: np.zeros(subs[i].n) for i in nodes}
-    xc = dict(z)
-    prev = dict.fromkeys(nodes)
-    decided = dict.fromkeys(nodes)
-    logs = {i: {f: [] for f in VECTOR_FIELDS + SCALAR_FIELDS} for i in nodes}
-    for k in range(config.horizon):
-        # 1. measurements, masked at the attacked node
-        y = {
-            i: measured_output(subs[i], x[i], attacker.output_mask() if i == target else None)
-            for i in nodes
-        }
-        # 2. decoupled estimates and received errors
-        xl = {i: uio_estimate(designs[i].uio, z[i], y[i]) for i in nodes}
-        err = {i: designs[i].C_pinv @ (y[i] - subs[i].C @ xc[i]) for i in nodes}
-        # 3. lagged aggregates and alarms
-        alarms = {
-            i: emit_alarm(
-                i, k, float(np.linalg.norm(err[i])), thresholds.get(i, math.inf),
-                aggregate_error(err[i], prev[i], designs[i].coop_transition), subs[i].n,
-                armed=k >= arm_step,
-            )
-            for i in nodes
-        }
-        # 4. decisions (latching)
-        for i in nodes:
-            if decided[i] is None and decide_attack(alarms, topo.inbound(i)):
-                decided[i] = k
-        # 5. accommodation
-        zero_n = {i: np.zeros(subs[i].n) for i in nodes}
-        xa_ls, xa_pub, xa_fwd = dict(zero_n), dict(zero_n), dict(zero_n)
-        inj_hat = {i: np.zeros(subs[i].m) for i in nodes}
-        if acc is not None and decided[target] is not None and k > decided[target]:
-            d = designs[target]
-            if d.ls.sources and all(alarms[j].active for j in d.ls.sources):
-                xa_ls[target] = ls_estimate(d.ls, {j: alarms[j].payload for j in d.ls.sources})
-                acc.push_sample(k, xa_ls[target], d.recon.window + 1)
-            else:
-                acc.samples.clear()
-            if acc.forward is None:
-                acc.forward = np.zeros(subs[target].n)
-            estimate, ready = reconstruct_input(d.recon, [v for _, v in acc.samples])
-            acc.phase = 2 if ready else 1
-            if ready:
-                inj_hat[target] = estimate
-                acc.forward = d.recon.A @ acc.forward + d.recon.B @ estimate
-                xa_pub[target] = merge_kernel_component(d.ls.projection, xa_ls[target], acc.forward)
-                xa_fwd[target] = acc.forward
-        # 6. control laws
-        u = {
-            i: accommodated_control(designs[i].feedback_gain, designs[i].neighbor_gains,
-                                    xl[i], xa_pub[i], xl, inj_hat[i])
-            for i in nodes
-        }
-        # 7. injection applied, then logging, then everything advances
-        applied, xa = dict(u), dict(zero_n)
-        inj = {i: np.zeros(subs[i].m) for i in nodes}
-        if attacker is not None:
-            inj[target], xa[target] = attacker.injected(k), attacker.state
-            applied[target], attacker.state = step_attacker(attacker, u[target], k)
-        for i in nodes:
-            values = (x[i], xa[i], xl[i], xc[i], y[i], u[i], applied[i], inj[i], inj_hat[i],
-                      xa_ls[i], xa_pub[i], xa_fwd[i], alarms[i].payload,
-                      np.linalg.norm(y[i] - subs[i].C @ xl[i]), np.linalg.norm(err[i]),
-                      alarms[i].active, decided[i] is not None,
-                      acc.phase if i == target else 0)
-            for f, v in zip(VECTOR_FIELDS + SCALAR_FIELDS, values):
-                logs[i][f].append(v)
-        x = step_plant(subs, topo, x, applied)
-        for i in nodes:
-            inbound = {j: topo.coupling[(i, j)] for j in topo.inbound(i)}
-            z[i] = step_uio(designs[i].uio, subs[i], z[i], u[i], y[i])
-            xc[i] = step_distributed(subs[i], designs[i].coop_gain, xc[i], u[i], y[i], inbound, xl)
-        prev = err
-    return {i: {f: np.array(v, dtype=float) for f, v in logs[i].items()} for i in nodes}, decided
-
-
-def reference_run(config, detect=True):
-    """``run`` rebuilt on ``reference_loop``: (series, thresholds, arm_step, decision_steps)."""
-    designs = build_designs(config)
-    policy = config.thresholds
-    if not detect:
-        thresholds, arm_step = dict.fromkeys(config.subsystems, math.inf), 0
-    elif policy.mode == "explicit":
-        thresholds = dict(policy.values)
-        arm_step = config.arm_step if config.arm_step is not None else 0
-    else:
-        quiet = dataclasses.replace(config, attack=None, horizon=min(config.horizon, policy.window[1]))
-        logs, _ = reference_loop(quiet, designs, {}, 0)
-        thresholds = calibrate_thresholds(
-            {i: logs[i]["resid_coop"] for i in logs},
-            factor=policy.factor, floor=policy.floor, window=policy.window,
-        )
-        arm_step = config.arm_step if config.arm_step is not None else policy.window[1]
-    logs, decided = reference_loop(config, designs, thresholds, arm_step)
-    return logs, thresholds, arm_step, decided
 
 
 class TestLoadScenario:
@@ -374,6 +220,36 @@ class TestRunBasics:
         kd = fullrank_trace.decision_steps[3]
         assert all(v == 0 for v in decided[:kd])
         assert all(v == 1 for v in decided[kd:])
+
+
+class TestAttackSignal:
+    """A caller-built ``AttackSpec``: the signal is checked and logged per step."""
+
+    def test_wrong_length_signal_names_the_step(self, fullrank_config):
+        attack = dataclasses.replace(fullrank_config.attack, signal=lambda k: np.ones(2))
+        config = dataclasses.replace(fullrank_config, attack=attack)
+        with pytest.raises(ConfigurationError, match=rf"attacker signal at step {attack.onset}: "
+                                                     r"expected length 1, got shape \(2,\)"):
+            run(config)
+
+    def test_negative_onset_rejected(self, fullrank_config):
+        attack = dataclasses.replace(fullrank_config.attack, onset=-1)
+        with pytest.raises(ConfigurationError, match="onset must be non-negative, got -1"):
+            run(dataclasses.replace(fullrank_config, attack=attack))
+
+    def test_injection_log_follows_the_signal(self, fullrank_config):
+        def signal(k):
+            return np.array([0.5 + 0.1 * (k % 7)])
+
+        attack = dataclasses.replace(fullrank_config.attack, signal=signal)
+        trace = run(dataclasses.replace(fullrank_config, attack=attack))
+        onset = attack.onset
+        inj = trace.series(attack.target, "inj")
+        assert not inj[:onset].any()
+        np.testing.assert_array_equal(inj[onset:], [signal(k) for k in range(onset, trace.horizon)])
+        for i in trace.nodes:
+            if i != attack.target:
+                assert not trace.series(i, "inj").any()
 
 
 class TestDetectOff:
