@@ -102,8 +102,11 @@ class InputReconstructor:
     proves that block is pinned down, and it is the one returned.
     ``solver_pinv`` maps a window's observed left-hand side to the stacked
     unknowns, and ``input_offset`` locates that input block in them.
-    ``anchor_maps[t - 1]`` is ``P A^t`` (``P`` the interacting map), which
-    carries the anchor's interacting part ``t`` steps forward.
+    ``readout`` folds the whole inversion into one matrix: applied to the
+    window's samples stacked oldest first, it gives that input block.  It is
+    the block's rows of ``solver_pinv`` times the map from the samples to
+    the left-hand side, whose row block ``t`` is ``P`` on sample ``t`` minus
+    ``P A^t P^T P`` on the anchor (``P`` the interacting map).
     """
 
     A: np.ndarray
@@ -115,7 +118,7 @@ class InputReconstructor:
     solver: np.ndarray
     solver_pinv: np.ndarray
     input_offset: int
-    anchor_maps: tuple
+    readout: np.ndarray
 
 
 def _relative_degrees(A: np.ndarray, B: np.ndarray, out_map: np.ndarray) -> list:
@@ -249,6 +252,15 @@ def build_reconstructor(
             "enlarge the reconstruction window"
         )
 
+    # Left-hand side from the stacked samples: row block t is
+    # P x(t) - P A^t P^T P x(0).
+    lhs_map = np.zeros((window * p, (window + 1) * n))
+    for t in range(1, window + 1):
+        rows = slice((t - 1) * p, t * p)
+        lhs_map[rows, :n] = -out_map @ matrix_power(A, t) @ projection.interacting_projector
+        lhs_map[rows, t * n:(t + 1) * n] = out_map
+    solver_pinv = pseudo_inverse(solver)
+
     return InputReconstructor(
         A=A.copy(),
         B=B.copy(),
@@ -257,9 +269,9 @@ def build_reconstructor(
         rel_degree=tuple(degrees),
         output_delay=output_delay,
         solver=solver,
-        solver_pinv=pseudo_inverse(solver),
+        solver_pinv=solver_pinv,
         input_offset=input_offset,
-        anchor_maps=tuple(out_map @ matrix_power(A, t) for t in range(1, window + 1)),
+        readout=solver_pinv[input_offset:input_offset + m] @ lhs_map,
     )
 
 
@@ -273,20 +285,10 @@ def reconstruct_input(recon: InputReconstructor, samples: Sequence[np.ndarray]):
     The estimate is the input injected ``output_delay + 1`` steps before
     the newest sample's time tag.
     """
-    m = recon.B.shape[1]
     if len(samples) < recon.window + 1:
-        return np.zeros(m), False
+        return np.zeros(recon.B.shape[1]), False
     recent = list(samples)[-(recon.window + 1):]
-    P = recon.projection.interacting_map
-    anchor = P.T @ (P @ np.asarray(recent[0], dtype=float))
-    lhs = np.concatenate(
-        [
-            P @ np.asarray(recent[t], dtype=float) - recon.anchor_maps[t - 1] @ anchor
-            for t in range(1, recon.window + 1)
-        ]
-    )
-    theta = recon.solver_pinv @ lhs
-    return theta[recon.input_offset:recon.input_offset + m].copy(), True
+    return recon.readout @ np.concatenate(recent).astype(float, copy=False), True
 
 
 def merge_kernel_component(
@@ -301,9 +303,8 @@ def merge_kernel_component(
     ls_value = np.asarray(ls_value, dtype=float)
     if projection.kernel_dim == 0:
         return ls_value.copy()
-    P = projection.interacting_map
-    N = projection.kernel_basis
-    return P.T @ (P @ ls_value) + N @ (N.T @ np.asarray(forward_state, dtype=float))
+    return (projection.interacting_projector @ ls_value
+            + projection.kernel_projector @ np.asarray(forward_state, dtype=float))
 
 
 def neighbor_cancellation_gains(B: np.ndarray, coupling: Mapping[int, np.ndarray]) -> dict:

@@ -25,7 +25,18 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def _has_bool(value) -> bool:
+    """Whether a nested list (or array) holds a boolean, which numpy would read as 0 or 1."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == bool
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _floats(value, label: str) -> np.ndarray:
+    if _has_bool(value):
+        raise ConfigurationError(f"{label}: expected numbers, got a boolean")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -7,7 +7,7 @@ gain synthesis that is re-verified after the fact instead of trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
@@ -53,11 +53,20 @@ class ProjectionPair:
     ``kernel_basis`` has orthonormal columns spanning its null space, the
     directions hidden from every neighbor.  When the stack has full column
     rank the split is trivial and ``interacting_map`` is the identity.
+    ``interacting_projector`` (``P^T P``) and ``kernel_projector`` (``N N^T``)
+    are the two orthogonal projectors, which sum to the identity.
     """
 
     interacting_map: np.ndarray  # ((n - kernel_dim) x n), orthonormal rows
     kernel_basis: np.ndarray  # (n x kernel_dim), orthonormal columns
     kernel_dim: int
+    interacting_projector: np.ndarray = field(init=False, repr=False)
+    kernel_projector: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        P, N = self.interacting_map, self.kernel_basis
+        object.__setattr__(self, "interacting_projector", P.T @ P)
+        object.__setattr__(self, "kernel_projector", N @ N.T)
 
     @property
     def dim(self) -> int:

@@ -8,9 +8,14 @@ that serializes to CSV with 17-significant-digit floats, so reruns of the
 same file are byte-identical.
 
 Between alarm and decision events the closed loop is one linear system
-over all nodes, so the runner advances the whole network as stacked
-vectors, not node by node.  The tests hold it to a node-by-node oracle
-(``tests/reference.py``).
+over all nodes.  The runner keeps one augmented state
+``[x; z; xhat_coop; replica]`` for the whole network and advances it with
+one transition matrix per step.  Only what feeds back into the dynamics
+runs per step as code: the alarms, the decisions, and the target's
+accommodation, whose correction enters the next step through a rank-m
+column block.  The states are kept per step; after the loop each linear
+trace field is one product over all steps.  The tests hold the runner to
+a node-by-node oracle (``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -40,7 +45,6 @@ from .accommodation import (
     LsEstimator,
     build_ls_estimator,
     build_reconstructor,
-    ls_estimate,
     merge_kernel_component,
     neighbor_cancellation_gains,
     reconstruct_input,
@@ -583,16 +587,118 @@ def _check_finite(rows: np.ndarray, index: dict, nodes: tuple) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Maps:
+    """Maps of the augmented state ``s = [x; z; xhat_coop; replica]`` (see ``_simulate``).
+
+    ``Es``, ``Ys``, ``XLs`` and ``Us`` give the received error, the masked
+    measurements, ``xhat_loc`` and the control before its accommodation
+    correction.  ``G`` and ``C`` are the block-diagonal cooperative
+    transition and output matrix.
+    """
+
+    Es: np.ndarray
+    Ys: np.ndarray
+    XLs: np.ndarray
+    Us: np.ndarray
+    G: np.ndarray
+    C: np.ndarray
+
+
+def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) -> tuple:
+    """The augmented loop from block matrices over all nodes: ``(M, correct, inject, maps)``.
+
+    ``M`` advances ``s`` by one step.  The attack's two input column blocks
+    (None without an attack) are ``correct``, through which the target's
+    control correction ``K_t xa_pub - inj_hat`` enters, and ``inject``, the
+    injection.  ``maps`` holds the output maps (``_Maps``).  A
+    block-diagonal factor is applied node by node (``diagonal_times``)
+    instead of as a dense matrix, which most of a large network's products
+    would spend on zeros.
+    """
+    subsystems, topology, attack = config.subsystems, config.topology, config.attack
+
+    def diagonal(rows, cols, block):
+        return _stacked(nodes, seg[rows], seg[cols], lambda i: {i: block(i)})
+
+    def diagonal_times(rows, cols, block, X):
+        """``diagonal(rows, cols, block) @ X`` without the dense diagonal."""
+        out = np.empty((seg[rows][nodes[-1]].stop, X.shape[1]))
+        for i in nodes:
+            out[seg[rows][i]] = block(i) @ X[seg[cols][i]]
+        return out
+
+    A = diagonal("n", "n", lambda i: subsystems[i].A)
+    C = diagonal("p", "n", lambda i: subsystems[i].C)
+    coupling = _stacked(
+        nodes, seg["n"], seg["n"],
+        lambda i: {j: topology.coupling[(i, j)] for j in topology.inbound(i)},
+    )
+    n_total, p_total = C.shape[1], C.shape[0]
+    replica = subsystems[attack.target] if attack is not None else None
+    dim = 3 * n_total + (replica.n if replica is not None else 0)
+    xs, zs, cs = (slice(b * n_total, (b + 1) * n_total) for b in range(3))
+    rs = slice(3 * n_total, dim)
+
+    Ys = np.zeros((p_total, dim))  # y, the replica's output subtracted at the target
+    Ys[:, xs] = C
+    if replica is not None:
+        Ys[seg["p"][attack.target], rs] = -replica.C
+    XLs = diagonal_times("n", "p", lambda i: designs[i].uio.H, Ys)  # xhat_loc = z + H y
+    XLs[:, zs] += np.eye(n_total)
+    innovation = Ys.copy()  # y - C xhat_coop
+    innovation[:, cs] -= C
+    KN = diagonal("m", "n", lambda i: designs[i].feedback_gain)
+    KN += _stacked(nodes, seg["m"], seg["n"], lambda i: designs[i].neighbor_gains)
+    Us = KN @ XLs  # u = K xhat_loc + N xhat_loc, before the correction
+
+    def T_times(X):
+        return diagonal_times("n", "n", lambda i: designs[i].uio.T, X)
+
+    BU = diagonal_times("n", "m", lambda i: subsystems[i].B, Us)
+    M = np.zeros((dim, dim))
+    M[xs] = BU  # x+ = A x + coupling x + B (u + injection)
+    M[xs, xs] += A + coupling
+    M[zs] = T_times(BU)  # z+ = F z + T B u + K_uio y
+    M[zs] += diagonal_times("n", "p", lambda i: designs[i].uio.K1 + designs[i].uio.K2, Ys)
+    M[zs, zs] += diagonal("n", "n", lambda i: designs[i].uio.F)
+    M[cs] = BU  # xhat_coop+ = A xhat_coop + B u + L innovation + coupling xhat_loc
+    M[cs] += diagonal_times("n", "p", lambda i: designs[i].coop_gain, innovation)
+    M[cs] += coupling @ XLs
+    M[cs, cs] += A
+    correct = inject = None
+    if replica is not None:
+        M[rs, rs] = replica.A  # replica+ = A_t replica + B_t injection
+        B_t = np.zeros((n_total, replica.m))
+        B_t[seg["n"][attack.target]] = replica.B
+        correct = np.vstack([B_t, T_times(B_t), B_t, np.zeros((replica.n, replica.m))])
+        inject = np.zeros((dim, replica.m))
+        inject[xs] = B_t
+        inject[rs] = replica.B
+    Es = diagonal_times("n", "p", lambda i: designs[i].C_pinv, innovation)
+    G = diagonal("n", "n", lambda i: designs[i].coop_transition)
+    maps = _Maps(Es=Es, Ys=Ys, XLs=XLs, Us=Us, G=G, C=C)
+    return M, correct, inject, maps
+
+
 def _simulate(
     config: ScenarioConfig, designs: dict, thresholds: dict, arm_step: int
 ) -> ScenarioTrace:
     """One closed-loop run; a node missing from ``thresholds`` never alarms.
 
-    Every quantity is one stacked vector over all nodes, each node's entries
-    at its own dimensions in node order.  The linear phases are products
-    with block matrices built here once, alarms and decisions are boolean
-    arrays, and only the attacker and accommodation work on the target's
-    segments.  The attack signal is evaluated once, before the first step.
+    The loop state is one augmented vector ``s = [x; z; xhat_coop; replica]``:
+    the plant, observer and cooperative-estimate vectors stacked over all
+    nodes (each node's entries at its own dimensions, in node order), then
+    the attacker's replica of the target.  One transition matrix ``M``,
+    built once per call by ``_operator``, advances it; the target's
+    accommodation correction and the injection enter through two column
+    blocks of rank m.  Each step does only the work whose result feeds back
+    into the dynamics: the received errors ``Es @ s`` and the alarms once
+    armed, the decisions, and on the target after its decision the least
+    squares, the window inversion and the forward model.  The states are
+    stored per step, and after the loop every linear trace field is one
+    product over all steps, written straight into the trace table.  The
+    attack signal is evaluated once, before the first step.
     """
     subsystems = config.subsystems
     topology = config.topology
@@ -609,37 +715,19 @@ def _simulate(
     n_sizes = [subsystems[i].n for i in nodes]
     n_starts = [seg["n"][i].start for i in nodes]
     p_starts = [seg["p"][i].start for i in nodes]
-
-    def diagonal(rows, cols, block):
-        return _stacked(nodes, seg[rows], seg[cols], lambda i: {i: block(i)})
-
-    A = diagonal("n", "n", lambda i: subsystems[i].A)
-    B = diagonal("n", "m", lambda i: subsystems[i].B)
-    C = diagonal("p", "n", lambda i: subsystems[i].C)
-    H = diagonal("n", "p", lambda i: designs[i].uio.H)
-    F = diagonal("n", "n", lambda i: designs[i].uio.F)
-    T = diagonal("n", "n", lambda i: designs[i].uio.T)
-    K_uio = diagonal("n", "p", lambda i: designs[i].uio.K1 + designs[i].uio.K2)
-    C_pinv = diagonal("n", "p", lambda i: designs[i].C_pinv)
-    L = diagonal("n", "p", lambda i: designs[i].coop_gain)
-    G = diagonal("n", "n", lambda i: designs[i].coop_transition)
-    K = diagonal("m", "n", lambda i: designs[i].feedback_gain)
-    coupling = _stacked(
-        nodes, seg["n"], seg["n"],
-        lambda i: {j: topology.coupling[(i, j)] for j in topology.inbound(i)},
-    )
-    N = _stacked(nodes, seg["m"], seg["n"], lambda i: designs[i].neighbor_gains)
+    n_total = seg["n"][nodes[-1]].stop
     # inbound[i, j]: node j's alarm is a witness for node i
     inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
     witnessed = inbound.any(axis=1)
     threshold = np.array([thresholds.get(i, math.inf) for i in nodes])
-    n_total, m_total = seg["n"][nodes[-1]].stop, seg["m"][nodes[-1]].stop
+    # the node each entry of a stacked n-vector belongs to, by position
+    entry_node = np.repeat(np.arange(n_nodes), n_sizes)
 
     attack = config.attack
     if attack is not None:
         target, onset = attack.target, attack.onset
         tpos = nodes.index(target)
-        tn, tm, tp = seg["n"][target], seg["m"][target], seg["p"][target]
+        tn, tm = seg["n"][target], seg["m"][target]
         victim = subsystems[target]
         d = designs[target]
         if onset < 0:
@@ -649,113 +737,139 @@ def _simulate(
         injection = np.zeros((horizon, victim.m))
         for k in range(onset, horizon):
             injection[k] = _vector(attack.signal(k), victim.m, f"attacker signal at step {k}")
-        # the attacker's private replica of the target, at rest until onset
-        replica = np.zeros(victim.n)
+        # the target's sources and their payload entries, ascending like the estimator's
+        src_pos = [nodes.index(j) for j in d.ls.sources]
+        src_idx = np.flatnonzero(np.isin(entry_node, src_pos))
         # consecutive replica-state estimates, oldest first, for the window inversion
         samples = collections.deque(maxlen=d.recon.window + 1)
         forward = np.zeros(victim.n)
 
-    x = np.concatenate([subsystems[i].x0 for i in nodes])
-    z = np.zeros(n_total)
-    xhat_coop = np.zeros(n_total)
-    err_prev = np.zeros(n_total)
+    M, correct, inject, maps = _operator(config, designs, nodes, seg)
+    Es, G = maps.Es, maps.G
+    dim = M.shape[0]
+    xs, cs, rs = slice(0, n_total), slice(2 * n_total, 3 * n_total), slice(3 * n_total, dim)
+
+    # per-step logs of what the states do not give
+    states = np.empty((horizon, dim))
+    alarms = np.zeros((horizon, n_total))
+    alarm_on = np.zeros((horizon, n_nodes))
     decided_step = np.full(n_nodes, -1)
-    phase = np.zeros(n_nodes)
+    n_decided = 0
+    if attack is not None:
+        inj_hat = np.zeros((horizon, victim.m))
+        xa_ls, xa_pub, xa_fwd = np.zeros((3, horizon, victim.n))
+        phase = np.zeros(horizon)
 
     index = _column_index(subsystems)
     width = max(index[i][_SCALAR_FIELDS[-1]] for i in nodes) + 1
-    table = np.zeros((horizon * n_nodes, width))
-    table[:, 0] = np.repeat(np.arange(horizon), n_nodes)
-    table[:, 1] = np.tile(nodes, horizon)
-    # where each entry of one step's logged vector (_VECTOR_FIELDS, then
-    # _SCALAR_FIELDS, each stacked over nodes) lands in that step's rows
-    dest = [
-        pos * width + col
+    # dest[field]: where each entry of the field, stacked over nodes, lands in one step's rows
+    dest = {
+        fieldname: np.array([
+            pos * width + col
+            for pos, i in enumerate(nodes)
+            for col in range(index[i][fieldname].start, index[i][fieldname].stop)
+        ])
         for fieldname, _ in _VECTOR_FIELDS
-        for pos, i in enumerate(nodes)
-        for col in range(index[i][fieldname].start, index[i][fieldname].stop)
-    ]
-    dest += [pos * width + index[i][f] for f in _SCALAR_FIELDS for pos, i in enumerate(nodes)]
-    step_rows = table.reshape(horizon, n_nodes * width)
+    }
+    dest.update({f: np.array([pos * width + index[i][f] for pos, i in enumerate(nodes)])
+                 for f in _SCALAR_FIELDS})
 
-    for k in range(horizon):
-        # 1. measurements, the replica's output subtracted at the target
-        xa = np.zeros(n_total)
-        y = C @ x
+    def log(steps: int) -> np.ndarray:
+        """The trace table of steps 0..steps-1, one product per linear field."""
+        table = np.zeros((steps * n_nodes, width))
+        table[:, 0] = np.repeat(np.arange(steps), n_nodes)
+        table[:, 1] = np.tile(nodes, steps)
+        rows, past = table.reshape(steps, n_nodes * width), states[:steps]
+        y, xhat_loc, u = past @ maps.Ys.T, past @ maps.XLs.T, past @ maps.Us.T
+        rows[:, dest["x"]] = past[:, xs]
+        rows[:, dest["xhat_loc"]] = xhat_loc
+        rows[:, dest["xhat_coop"]] = past[:, cs]
+        rows[:, dest["ymeas"]] = y
+        rows[:, dest["alarm"]] = alarms[:steps]
+        rows[:, dest["resid_loc"]] = np.sqrt(
+            np.add.reduceat((y - xhat_loc @ maps.C.T) ** 2, p_starts, axis=1))
+        rows[:, dest["resid_coop"]] = np.sqrt(
+            np.add.reduceat((past @ Es.T) ** 2, n_starts, axis=1))
+        rows[:, dest["alarm_on"]] = alarm_on[:steps]
+        rows[:, dest["decided"]] = (decided_step >= 0) & (np.arange(steps)[:, None] >= decided_step)
         if attack is not None:
-            xa[tn] = replica
-            y[tp] -= victim.C @ replica
+            u[:, tm] += xa_pub[:steps] @ d.feedback_gain.T - inj_hat[:steps]
+            for fieldname, block, where in (
+                ("xa", states[:, rs], tn), ("inj", injection, tm), ("inj_hat", inj_hat, tm),
+                ("xa_ls", xa_ls, tn), ("xa_pub", xa_pub, tn), ("xa_fwd", xa_fwd, tn),
+            ):
+                rows[:, dest[fieldname][where]] = block[:steps]
+            rows[:, dest["phase"][tpos]] = phase[:steps]
+        rows[:, dest["u"]] = u
+        if attack is not None:
+            u[:, tm] += injection[:steps]
+        rows[:, dest["u_applied"]] = u
+        return table
 
-        # 2. estimates and received errors
-        xhat_loc = z + H @ y
-        innovation = y - C @ xhat_coop
-        err = C_pinv @ innovation
-        resid_loc = np.sqrt(np.add.reduceat((y - C @ xhat_loc) ** 2, p_starts))
-        resid_coop = np.sqrt(np.add.reduceat(err ** 2, n_starts))
+    armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
+    s = np.concatenate([subsystems[i].x0 for i in nodes] + [np.zeros(dim - n_total)])
+    err_prev = None
+    for k in range(horizon):
+        states[k] = s
 
-        # 3. alarms.  A node is loud when its received-error norm is strictly
-        # above its threshold, from the arm step on and once two error samples
-        # exist.  A loud node's payload is the lagged aggregate
-        # err(k) - G err(k-1): what the coupling pushed into its received error
-        # at step k-1.  A quiet node sends zeros; an alarm is on when its
-        # payload is nonzero.
-        loud = (resid_coop > threshold) & (k >= max(arm_step, 1))
-        alarm = np.where(np.repeat(loud, n_sizes), err - G @ err_prev, 0.0)
-        active = np.logical_or.reduceat(alarm != 0, n_starts)
+        # 1-3. received errors and alarms.  A node is loud when its
+        # received-error norm is strictly above its threshold, from the arm
+        # step on and once two error samples exist.  A loud node's payload is
+        # the lagged aggregate err(k) - G err(k-1): what the coupling pushed
+        # into its received error at step k-1.  A quiet node sends zeros; an
+        # alarm is on when its payload is nonzero.
+        if k >= armed_from:
+            err = Es @ s
+            if err_prev is None:
+                err_prev = Es @ states[k - 1]
+            loud = np.sqrt(np.add.reduceat(err * err, n_starts)) > threshold
+            if loud.any():
+                alarm = np.where(loud[entry_node], err - G @ err_prev, 0.0)
+                active = np.logical_or.reduceat(alarm != 0, n_starts)
+                alarms[k] = alarm
+                alarm_on[k] = active
+                # 4. decisions, latching.  A node decides "attacked" when the
+                # alarm of every inbound neighbor is on; a node without
+                # inbound neighbors has no witnesses and never decides.
+                new = (decided_step < 0) & witnessed & ~(inbound & ~active).any(axis=1)
+                if new.any():
+                    decided_step[new] = k
+                    n_decided = int(np.count_nonzero(decided_step >= 0))
+            err_prev = err
 
-        # 4. decisions, latching.  A node decides "attacked" when the alarm of
-        # every inbound neighbor is on; a node without inbound neighbors has no
-        # witnesses and never decides.
-        decided_step[(decided_step < 0) & witnessed & ~(inbound & ~active).any(axis=1)] = k
-
-        # 5. accommodation
-        xa_ls, xa_pub, xa_fwd = np.zeros((3, n_total))
-        inj_hat = np.zeros(m_total)
+        # 5. accommodation on the target, from the step after its decision
+        correction = None
         if attack is not None and 0 <= decided_step[tpos] < k:
-            decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
-            if len(decided_nodes) > 1:
-                _check_finite(table[:k * n_nodes], index, nodes)
+            if n_decided > 1:
+                _check_finite(log(k), index, nodes)
+                decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
                 raise ProtocolError(
                     f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
                     "superpose and accommodation supports a single attacked node"
                 )
-            payloads = {j: alarm[seg["n"][j]] for j in d.ls.sources}
-            if d.ls.sources and all(np.any(p) for p in payloads.values()):
-                value = ls_estimate(d.ls, payloads)
-                xa_ls[tn] = value
+            if src_pos and alarm_on[k, src_pos].all():
+                value = d.ls.stack_pinv @ alarms[k, src_idx]
+                xa_ls[k] = value
                 samples.append(value)
             else:
                 samples.clear()
             estimate, ready = reconstruct_input(d.recon, samples)
+            phase[k] = 2 if ready else 1
             if ready:
-                inj_hat[tm] = estimate
                 forward = d.recon.A @ forward + d.recon.B @ estimate
-                xa_pub[tn] = merge_kernel_component(d.ls.projection, xa_ls[tn], forward)
-                xa_fwd[tn] = forward
-            phase[tpos] = 2 if ready else 1
+                xa_pub[k] = merge_kernel_component(d.ls.projection, value, forward)
+                inj_hat[k], xa_fwd[k] = estimate, forward
+                correction = d.feedback_gain @ xa_pub[k] - estimate
 
-        # 6. control
-        u = K @ (xhat_loc + xa_pub) + N @ xhat_loc - inj_hat
-
-        # 7. injection, logging, advance
-        u_applied = u.copy()
-        inj = np.zeros(m_total)
+        # 6-7. control, injection and advance
+        s = M @ s
+        if correction is not None:
+            s += correct @ correction
         if attack is not None and k >= onset:
-            inj[tm] = injection[k]
-            u_applied[tm] += injection[k]
-            replica = victim.A @ replica + victim.B @ injection[k]
+            s += inject @ injection[k]
 
-        step_rows[k, dest] = np.concatenate(
-            (x, xa, xhat_loc, xhat_coop, y, u, u_applied, inj, inj_hat, xa_ls, xa_pub,
-             xa_fwd, alarm, resid_loc, resid_coop, active, decided_step >= 0, phase)
-        )
-
-        Bu = B @ u
-        x = A @ x + B @ u_applied + coupling @ x
-        z = F @ z + T @ Bu + K_uio @ y
-        xhat_coop = A @ xhat_coop + Bu + L @ innovation + coupling @ xhat_loc
-        err_prev = err
-
+    del M  # the largest array; logging does not need it
+    table = log(horizon)
     _check_finite(table, index, nodes)
     table.flags.writeable = False
     return ScenarioTrace(
@@ -766,7 +880,7 @@ def _simulate(
         index=index,
         thresholds={i: thresholds.get(i, math.inf) for i in nodes},
         arm_step=arm_step,
-        decision_steps={i: (s if s >= 0 else None) for i, s in zip(nodes, decided_step.tolist())},
+        decision_steps={i: (k if k >= 0 else None) for i, k in zip(nodes, decided_step.tolist())},
         designs=designs,
         config=config,
     )

@@ -1,8 +1,8 @@
 """The closed loop node by node: the oracle the stacked runner is held to.
 
-``covacc.scenario._simulate`` advances the whole network as stacked
-vectors and block matrices.  This module computes the same tick one node
-at a time, from per-node step functions: the plant and the covert
+``covacc.scenario._simulate`` advances the whole network as one augmented
+state under one transition matrix.  This module computes the same tick one
+node at a time, from per-node step functions: the plant and the covert
 injector, the two observers, the alarm and unanimity rule, and the
 accommodated control law.  ``reference_run`` rebuilds ``covacc.run`` on
 that loop, and ``csv_writer_oracle`` writes a trace value by value

@@ -43,6 +43,8 @@ MALFORMED = {
     "onset_fractional": (("attack", "onset"), 20.9),
     "onset_bool": (("attack", "onset"), False),
     "index_bool": (("subsystems", 0, "index"), True),
+    "A_bool": (("subsystems", 0, "A"), [[True, 0.2], [0.0, 0.3]]),
+    "attack_value_bool": (("attack", "signal", "value"), [True]),
 }
 
 

@@ -73,6 +73,13 @@ def mixed_doc():
     }
 
 
+def stopping_doc():
+    """``five_node_lowrank`` with an attack that stops: 1.0 for 15 steps, then zero."""
+    doc = bundled_doc("five_node_lowrank")
+    doc["attack"]["signal"] = {"kind": "table", "values": [1.0] * 15, "after": "zero"}
+    return doc
+
+
 def grid_doc(seed):
     """The benchmark's seeded 10x10 grid scenario (``bench/gen_grid.py``)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "gen_grid.py"
@@ -252,6 +259,24 @@ class TestAttackSignal:
                 assert not trace.series(i, "inj").any()
 
 
+class TestAccommodationWindow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_quiet_sources_empty_the_window(self):
+        # the target decides at step 23; once the attack stops, its sources
+        # go quiet at step 51 and the window must start over
+        trace = run(load_scenario(stopping_doc()))
+        assert trace.decision_steps == {1: None, 2: None, 3: 23, 4: None, 5: None}
+        for j in (1, 2):
+            alarm_on = trace.series(j, "alarm_on")
+            assert alarm_on[50] == 1 and not alarm_on[51:].any()
+        phase = trace.series(3, "phase")
+        assert phase[50] == 2
+        assert (phase[51:] == 1).all()
+        assert trace.series(3, "xa_ls")[50].any()
+        for fieldname in ("xa_ls", "xa_pub", "xa_fwd", "inj_hat"):
+            assert not trace.series(3, fieldname)[51:].any(), fieldname
+
+
 class TestDetectOff:
     @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
     def test_same_trajectory_until_compensation(self, request, name):
@@ -340,7 +365,8 @@ class TestStackedRunner:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
-        "case", ["fullrank", "lowrank", "blind", "attack_free", "mixed", "mixed_explicit", "grid0"]
+        "case", ["fullrank", "lowrank", "lowrank_long", "stopping", "blind", "attack_free",
+                 "mixed", "mixed_explicit", "grid0"]
     )
     def test_matches_per_node_reference(self, request, case):
         detect = case != "blind"
@@ -352,6 +378,11 @@ class TestStackedRunner:
             config = load_scenario(doc)
         elif case == "grid0":
             config = load_scenario(grid_doc(0))
+        elif case == "lowrank_long":
+            # long enough for regrouped sums to drift if they were going to
+            config = dataclasses.replace(request.getfixturevalue("lowrank_config"), horizon=2000)
+        elif case == "stopping":
+            config = load_scenario(stopping_doc())
         else:
             config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
             if case == "attack_free":
