@@ -15,10 +15,7 @@ from .accommodation import (
     LsEstimator,
     build_ls_estimator,
     build_reconstructor,
-    ls_estimate,
-    merge_kernel_component,
     neighbor_cancellation_gains,
-    reconstruct_input,
 )
 from .detection import calibrate_thresholds
 from .errors import (
@@ -76,13 +73,10 @@ __all__ = [
     "design_uio",
     "kernel_and_projection",
     "load_scenario",
-    "ls_estimate",
     "matrix_rank",
-    "merge_kernel_component",
     "neighbor_cancellation_gains",
     "observer_gain",
     "pseudo_inverse",
-    "reconstruct_input",
     "run",
     "spectral_radius",
     "stabilizing_gain",

@@ -11,26 +11,32 @@ Three stages, each feeding the next:
    estimates by inverting the replica dynamics over the window.  The
    recovered value arrives with a fixed delay set by how many steps the
    input needs to show up in the observed combination.
-3. Fold both into the control law (step 6 of ``scenario._simulate``):
-   feed back on the node's own estimate plus the replica estimate, keep
-   the usual neighbor-cancellation terms, and subtract the recovered input
-   at the actuator.
+3. Fold both into the control law (tick step 6 of ``scenario``, part of
+   the update a full window adds to the runner's operator): feed back on
+   the node's own estimate plus the replica estimate, keep the usual
+   neighbor-cancellation terms, and subtract the recovered input at the
+   actuator.
 
 For a rank-deficient stack the kernel directions are filled in by running
 the replica model forward under the recovered inputs, which is the only
 route to them.
+
+This module builds the fixed maps of those stages at design time
+(``LsEstimator.stack_pinv``, ``InputReconstructor.readout``, the
+projectors of ``ProjectionPair``); ``scenario._operator`` folds them into
+the runner's one augmented operator, so no stage runs as per-step code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from numpy.linalg import matrix_power
 from scipy.linalg import eig as generalized_eig
 
-from .errors import ConfigurationError, ProtocolError, SynthesisError
+from .errors import ConfigurationError, SynthesisError
 from .model import Topology
 from .numerics import ProjectionPair, kernel_and_projection, matrix_rank, pseudo_inverse
 
@@ -44,13 +50,13 @@ class LsEstimator:
     """Least-squares recovery of the replica state from stacked alarm payloads.
 
     ``sources`` are the nodes that observe the target through their own
-    coupling, ascending; ``stack`` holds their coupling blocks in the same
-    order.  The projection records how much of the state the stack can see.
+    coupling, ascending; ``stack_pinv`` is the pseudo-inverse of their
+    coupling blocks stacked in the same order, which maps the stacked
+    payloads to the replica state.  The projection records how much of the
+    state the stack can see.
     """
 
-    target: int
     sources: tuple
-    stack: np.ndarray
     stack_pinv: np.ndarray
     projection: ProjectionPair
 
@@ -62,29 +68,10 @@ class LsEstimator:
 def build_ls_estimator(topology: Topology, target: int, state_dim: int) -> LsEstimator:
     stack = topology.outbound_stack(target, state_dim)
     return LsEstimator(
-        target=target,
         sources=topology.sources(target),
-        stack=stack,
         stack_pinv=pseudo_inverse(stack),
         projection=kernel_and_projection(stack),
     )
-
-
-def ls_estimate(estimator: LsEstimator, payloads: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Stack the payloads in source order and solve in the least-squares sense.
-
-    The result estimates the replica state one step back (the payloads are
-    lagged aggregates).  Callers gate on all payloads being nonzero; this
-    function only insists that every source is present.
-    """
-    rows = []
-    for j in estimator.sources:
-        if j not in payloads:
-            raise ProtocolError(f"no alarm payload from source node {j}")
-        rows.append(np.atleast_1d(np.asarray(payloads[j], dtype=float)))
-    if not rows:
-        return np.zeros(estimator.projection.dim)
-    return estimator.stack_pinv @ np.concatenate(rows)
 
 
 @dataclass(frozen=True)
@@ -100,23 +87,19 @@ class InputReconstructor:
     the input block sitting ``output_delay + 1`` steps behind the newest
     sample is guaranteed unique; a null-space certificate at build time
     proves that block is pinned down, and it is the one returned.
-    ``solver_pinv`` maps a window's observed left-hand side to the stacked
-    unknowns, and ``input_offset`` locates that input block in them.
+    ``input_offset`` locates that input block among the stacked unknowns.
     ``readout`` folds the whole inversion into one matrix: applied to the
     window's samples stacked oldest first, it gives that input block.  It is
-    the block's rows of ``solver_pinv`` times the map from the samples to
-    the left-hand side, whose row block ``t`` is ``P`` on sample ``t`` minus
-    ``P A^t P^T P`` on the anchor (``P`` the interacting map).
+    the block's rows of the solver's pseudo-inverse times the map from the
+    samples to the left-hand side, whose row block ``t`` is ``P`` on sample
+    ``t`` minus ``P A^t P^T P`` on the anchor (``P`` the interacting map).
     """
 
     A: np.ndarray
     B: np.ndarray
-    projection: ProjectionPair
     window: int
     rel_degree: tuple
     output_delay: int
-    solver: np.ndarray
-    solver_pinv: np.ndarray
     input_offset: int
     readout: np.ndarray
 
@@ -200,6 +183,11 @@ def build_reconstructor(
     m = B.shape[1]
     out_map = projection.interacting_map
     g = projection.kernel_dim
+    if out_map.shape[0] == 0:
+        raise SynthesisError(
+            "the coupling stack has no nonzero row, so no neighbor sees the replica "
+            "state and no alarm can witness the attack or recover its input"
+        )
 
     window = n if window is None else int(window)
     if window < n:
@@ -259,52 +247,16 @@ def build_reconstructor(
         rows = slice((t - 1) * p, t * p)
         lhs_map[rows, :n] = -out_map @ matrix_power(A, t) @ projection.interacting_projector
         lhs_map[rows, t * n:(t + 1) * n] = out_map
-    solver_pinv = pseudo_inverse(solver)
 
     return InputReconstructor(
         A=A.copy(),
         B=B.copy(),
-        projection=projection,
         window=window,
         rel_degree=tuple(degrees),
         output_delay=output_delay,
-        solver=solver,
-        solver_pinv=solver_pinv,
         input_offset=input_offset,
-        readout=solver_pinv[input_offset:input_offset + m] @ lhs_map,
+        readout=pseudo_inverse(solver)[input_offset:input_offset + m] @ lhs_map,
     )
-
-
-def reconstruct_input(recon: InputReconstructor, samples: Sequence[np.ndarray]):
-    """Recover the injected input from consecutive replica-state estimates.
-
-    ``samples`` holds the estimates oldest first, full state dimension each
-    (the raw least-squares output is fine; only its interacting part is
-    used).  Needs ``window + 1`` of them.  Returns ``(estimate, True)``
-    once the window is full and ``(zeros, False)`` while it is filling.
-    The estimate is the input injected ``output_delay + 1`` steps before
-    the newest sample's time tag.
-    """
-    if len(samples) < recon.window + 1:
-        return np.zeros(recon.B.shape[1]), False
-    recent = list(samples)[-(recon.window + 1):]
-    return recon.readout @ np.concatenate(recent).astype(float, copy=False), True
-
-
-def merge_kernel_component(
-    projection: ProjectionPair,
-    ls_value: np.ndarray,
-    forward_state: np.ndarray,
-) -> np.ndarray:
-    """Interacting part from least squares, kernel part from the forward model.
-
-    With a trivial kernel this is the least-squares value unchanged.
-    """
-    ls_value = np.asarray(ls_value, dtype=float)
-    if projection.kernel_dim == 0:
-        return ls_value.copy()
-    return (projection.interacting_projector @ ls_value
-            + projection.kernel_projector @ np.asarray(forward_state, dtype=float))
 
 
 def neighbor_cancellation_gains(B: np.ndarray, coupling: Mapping[int, np.ndarray]) -> dict:

@@ -8,14 +8,15 @@ that serializes to CSV with 17-significant-digit floats, so reruns of the
 same file are byte-identical.
 
 Between alarm and decision events the closed loop is one linear system
-over all nodes.  The runner keeps one augmented state
-``[x; z; xhat_coop; replica]`` for the whole network and advances it with
-one transition matrix per step.  Only what feeds back into the dynamics
-runs per step as code: the alarms, the decisions, and the target's
-accommodation, whose correction enters the next step through a rank-m
-column block.  The states are kept per step; after the loop each linear
-trace field is one product over all steps.  The tests hold the runner to
-a node-by-node oracle (``tests/reference.py``).
+over all nodes, the target's accommodation included.  The runner keeps
+one augmented state for the whole network (plant, observers, cooperative
+estimates, the attacker's replica and the target's accommodation state)
+and advances it with one transition matrix per step.  Only the alarms
+and the decisions run per step as code, plus a count of the samples in
+the accommodation window; once the window is full, each step adds one
+fixed low-rank update.  The states are kept per step; after the loop
+each linear trace field is one product over all steps.  The tests hold
+the runner to a node-by-node oracle (``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -23,14 +24,14 @@ Tick order (all quantities of step k before anything advances):
 2. decoupled estimates and received errors, residual norms
 3. lagged aggregates and alarms
 4. detection decisions (latching)
-5. accommodation: least squares, window inversion, forward model
+5. accommodation: least squares, window inversion, forward model, all
+   rows of the operator; the step only counts the window's fill
 6. control laws
 7. injection applied, plant and replica advance, observers advance
 """
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 import warnings
@@ -45,12 +46,10 @@ from .accommodation import (
     LsEstimator,
     build_ls_estimator,
     build_reconstructor,
-    merge_kernel_component,
     neighbor_cancellation_gains,
-    reconstruct_input,
 )
 from .detection import calibrate_thresholds
-from .errors import ConfigurationError, ProtocolError
+from .errors import ConfigurationError, ProtocolError, SynthesisError
 from .model import Subsystem, Topology, _finite, _vector
 from .numerics import observer_gain, pseudo_inverse, stabilizing_gain
 from .observers import UioDesign, design_uio
@@ -382,9 +381,12 @@ def build_designs(config: ScenarioConfig) -> dict:
         recon = None
         if config.attack is not None and i == config.attack.target:
             ls = build_ls_estimator(config.topology, i, sub.n)
-            recon = build_reconstructor(
-                sub.A, sub.B, ls.projection, window=config.reconstruction_window
-            )
+            try:
+                recon = build_reconstructor(
+                    sub.A, sub.B, ls.projection, window=config.reconstruction_window
+                )
+            except SynthesisError as exc:
+                raise SynthesisError(f"attacked node {i}: {exc}") from exc
         designs[i] = NodeDesign(
             uio=uio,
             coop_gain=L,
@@ -589,12 +591,17 @@ def _check_finite(rows: np.ndarray, index: dict, nodes: tuple) -> None:
 
 @dataclass(frozen=True)
 class _Maps:
-    """Maps of the augmented state ``s = [x; z; xhat_coop; replica]`` (see ``_simulate``).
+    """Maps of the augmented state ``s`` (see ``_operator``).
 
     ``Es``, ``Ys``, ``XLs`` and ``Us`` give the received error, the masked
     measurements, ``xhat_loc`` and the control before its accommodation
     correction.  ``G`` and ``C`` are the block-diagonal cooperative
-    transition and output matrix.
+    transition and output matrix.  With an attack (None without one),
+    ``inject`` holds the injection's input columns, and ``Ls``, ``Rs``,
+    ``Fs`` and ``Ps`` give the target's least-squares sample, recovered
+    input, advanced forward state and published estimate.  A step whose
+    window is full adds ``U @ (V @ s)``: the forward advance and the
+    control correction ``K_t xa_pub - inj_hat``, which is ``V[:m]``.
     """
 
     Es: np.ndarray
@@ -603,18 +610,27 @@ class _Maps:
     Us: np.ndarray
     G: np.ndarray
     C: np.ndarray
+    inject: np.ndarray = None
+    Ls: np.ndarray = None
+    Rs: np.ndarray = None
+    Fs: np.ndarray = None
+    Ps: np.ndarray = None
+    U: np.ndarray = None
+    V: np.ndarray = None
 
 
 def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) -> tuple:
-    """The augmented loop from block matrices over all nodes: ``(M, correct, inject, maps)``.
+    """The augmented loop from block matrices over all nodes: ``(M, maps)``.
 
-    ``M`` advances ``s`` by one step.  The attack's two input column blocks
-    (None without an attack) are ``correct``, through which the target's
-    control correction ``K_t xa_pub - inj_hat`` enters, and ``inject``, the
-    injection.  ``maps`` holds the output maps (``_Maps``).  A
-    block-diagonal factor is applied node by node (``diagonal_times``)
-    instead of as a dense matrix, which most of a large network's products
-    would spend on zeros.
+    ``s`` is ``[x; z; xhat_coop]`` stacked over all nodes; with an attack
+    it goes on with the attacker's replica of the target, the target's
+    sources' previous received error ``Es[src] s(k-1)``, a shift register
+    of the last ``window`` least-squares samples (oldest first) and the
+    forward state.  ``M`` advances ``s`` by one step with the forward state
+    held; ``maps`` holds the output maps and the attack's input and update
+    blocks (``_Maps``).  A block-diagonal factor is applied node by node
+    (``diagonal_times``) instead of as a dense matrix, which most of a
+    large network's products would spend on zeros.
     """
     subsystems, topology, attack = config.subsystems, config.topology, config.attack
 
@@ -635,14 +651,22 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
         lambda i: {j: topology.coupling[(i, j)] for j in topology.inbound(i)},
     )
     n_total, p_total = C.shape[1], C.shape[0]
-    replica = subsystems[attack.target] if attack is not None else None
-    dim = 3 * n_total + (replica.n if replica is not None else 0)
     xs, zs, cs = (slice(b * n_total, (b + 1) * n_total) for b in range(3))
-    rs = slice(3 * n_total, dim)
+    dim = 3 * n_total
+    if attack is not None:
+        d = designs[attack.target]
+        replica, window = subsystems[attack.target], d.recon.window
+        # the sources' entries in a stacked n-vector, ascending like the estimator's
+        src = np.concatenate([np.arange(seg["n"][j].start, seg["n"][j].stop) for j in d.ls.sources])
+        rs = slice(dim, dim + replica.n)
+        es = slice(rs.stop, rs.stop + src.size)
+        ws = slice(es.stop, es.stop + window * replica.n)
+        fs = slice(ws.stop, ws.stop + replica.n)
+        dim = fs.stop
 
     Ys = np.zeros((p_total, dim))  # y, the replica's output subtracted at the target
     Ys[:, xs] = C
-    if replica is not None:
+    if attack is not None:
         Ys[seg["p"][attack.target], rs] = -replica.C
     XLs = diagonal_times("n", "p", lambda i: designs[i].uio.H, Ys)  # xhat_loc = z + H y
     XLs[:, zs] += np.eye(n_total)
@@ -666,19 +690,39 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
     M[cs] += diagonal_times("n", "p", lambda i: designs[i].coop_gain, innovation)
     M[cs] += coupling @ XLs
     M[cs, cs] += A
-    correct = inject = None
-    if replica is not None:
-        M[rs, rs] = replica.A  # replica+ = A_t replica + B_t injection
-        B_t = np.zeros((n_total, replica.m))
-        B_t[seg["n"][attack.target]] = replica.B
-        correct = np.vstack([B_t, T_times(B_t), B_t, np.zeros((replica.n, replica.m))])
-        inject = np.zeros((dim, replica.m))
-        inject[xs] = B_t
-        inject[rs] = replica.B
     Es = diagonal_times("n", "p", lambda i: designs[i].C_pinv, innovation)
     G = diagonal("n", "n", lambda i: designs[i].coop_transition)
     maps = _Maps(Es=Es, Ys=Ys, XLs=XLs, Us=Us, G=G, C=C)
-    return M, correct, inject, maps
+    if attack is None:
+        return M, maps
+
+    n, m = replica.n, replica.m
+    M[rs, rs] = replica.A  # replica+ = A_t replica + B_t injection
+    B_t = np.zeros((dim, m))  # the target's input columns of x, z and xhat_coop
+    B_t[seg["n"][attack.target]] = replica.B
+    B_t[zs] = T_times(B_t[xs])
+    B_t[cs] = B_t[xs]
+    inject = np.zeros((dim, m))  # the injection reaches the plant and the replica only
+    inject[xs] = B_t[xs]
+    inject[rs] = replica.B
+    # the sources' payload err(k) - G err(k-1), and its least-squares sample
+    payload = Es[src]
+    payload[:, es] -= G[np.ix_(src, src)]
+    Ls = d.ls.stack_pinv @ payload
+    forward = np.eye(n, dim, fs.start)  # picks the forward state out of s
+    M[es] = Es[src]
+    M[ws.start:ws.stop - n] = np.eye((window - 1) * n, dim, ws.start + n)  # shift
+    M[ws.stop - n:ws.stop] = Ls
+    M[fs] = forward  # held; a full window advances it through U @ V
+    # window inversion over the register and the current sample
+    Rs = d.recon.readout[:, window * n:] @ Ls
+    Rs[:, ws] += d.recon.readout[:, :window * n]
+    Fs = d.recon.B @ Rs + d.recon.A @ forward
+    proj = d.ls.projection
+    Ps = proj.interacting_projector @ Ls + proj.kernel_projector @ Fs
+    U = np.hstack([B_t, forward.T])
+    V = np.vstack([d.feedback_gain @ Ps - Rs, Fs - forward])
+    return M, replace(maps, inject=inject, Ls=Ls, Rs=Rs, Fs=Fs, Ps=Ps, U=U, V=V)
 
 
 def _simulate(
@@ -686,19 +730,21 @@ def _simulate(
 ) -> ScenarioTrace:
     """One closed-loop run; a node missing from ``thresholds`` never alarms.
 
-    The loop state is one augmented vector ``s = [x; z; xhat_coop; replica]``:
-    the plant, observer and cooperative-estimate vectors stacked over all
+    The loop state is one augmented vector ``s`` (see ``_operator``): the
+    plant, observer and cooperative-estimate vectors stacked over all
     nodes (each node's entries at its own dimensions, in node order), then
-    the attacker's replica of the target.  One transition matrix ``M``,
-    built once per call by ``_operator``, advances it; the target's
-    accommodation correction and the injection enter through two column
-    blocks of rank m.  Each step does only the work whose result feeds back
-    into the dynamics: the received errors ``Es @ s`` and the alarms once
-    armed, the decisions, and on the target after its decision the least
-    squares, the window inversion and the forward model.  The states are
-    stored per step, and after the loop every linear trace field is one
-    product over all steps, written straight into the trace table.  The
-    attack signal is evaluated once, before the first step.
+    with an attack the replica and the target's accommodation state.  One
+    transition matrix ``M``, built once per call by ``_operator``, advances
+    it; the injection enters through a column block of rank m.  Each step
+    does only the work whose result switches the dynamics: the received
+    errors ``Es @ s`` and the alarms once armed, the decisions, and after
+    the target's decision a count of the consecutive steps on which every
+    source's alarm is on.  Once that count passes the window the step adds
+    the fixed rank-(m + n) update ``U @ (V @ s)``.  The states are stored
+    per step, and after the loop every linear trace field is one product
+    over all steps (gated by the count for the accommodation fields),
+    written straight into the trace table.  The attack signal is evaluated
+    once, before the first step.
     """
     subsystems = config.subsystems
     topology = config.topology
@@ -723,13 +769,18 @@ def _simulate(
     # the node each entry of a stacked n-vector belongs to, by position
     entry_node = np.repeat(np.arange(n_nodes), n_sizes)
 
+    M, maps = _operator(config, designs, nodes, seg)
+    Es, G = maps.Es, maps.G
+    dim = M.shape[0]
+    xs, cs = slice(0, n_total), slice(2 * n_total, 3 * n_total)
+
     attack = config.attack
+    window = math.inf  # no accommodation update without an attack
     if attack is not None:
         target, onset = attack.target, attack.onset
         tpos = nodes.index(target)
         tn, tm = seg["n"][target], seg["m"][target]
         victim = subsystems[target]
-        d = designs[target]
         if onset < 0:
             raise ConfigurationError(
                 f"attacker on node {target}: onset must be non-negative, got {onset}"
@@ -737,17 +788,9 @@ def _simulate(
         injection = np.zeros((horizon, victim.m))
         for k in range(onset, horizon):
             injection[k] = _vector(attack.signal(k), victim.m, f"attacker signal at step {k}")
-        # the target's sources and their payload entries, ascending like the estimator's
-        src_pos = [nodes.index(j) for j in d.ls.sources]
-        src_idx = np.flatnonzero(np.isin(entry_node, src_pos))
-        # consecutive replica-state estimates, oldest first, for the window inversion
-        samples = collections.deque(maxlen=d.recon.window + 1)
-        forward = np.zeros(victim.n)
-
-    M, correct, inject, maps = _operator(config, designs, nodes, seg)
-    Es, G = maps.Es, maps.G
-    dim = M.shape[0]
-    xs, cs, rs = slice(0, n_total), slice(2 * n_total, 3 * n_total), slice(3 * n_total, dim)
+        rs = slice(3 * n_total, 3 * n_total + victim.n)
+        src_pos = [nodes.index(j) for j in designs[target].ls.sources]
+        window = designs[target].recon.window
 
     # per-step logs of what the states do not give
     states = np.empty((horizon, dim))
@@ -755,10 +798,8 @@ def _simulate(
     alarm_on = np.zeros((horizon, n_nodes))
     decided_step = np.full(n_nodes, -1)
     n_decided = 0
-    if attack is not None:
-        inj_hat = np.zeros((horizon, victim.m))
-        xa_ls, xa_pub, xa_fwd = np.zeros((3, horizon, victim.n))
-        phase = np.zeros(horizon)
+    # fills[k]: consecutive post-decision steps up to k with every source's alarm on
+    fills = np.zeros(horizon, dtype=int)
 
     index = _column_index(subsystems)
     width = max(index[i][_SCALAR_FIELDS[-1]] for i in nodes) + 1
@@ -793,13 +834,22 @@ def _simulate(
         rows[:, dest["alarm_on"]] = alarm_on[:steps]
         rows[:, dest["decided"]] = (decided_step >= 0) & (np.arange(steps)[:, None] >= decided_step)
         if attack is not None:
-            u[:, tm] += xa_pub[:steps] @ d.feedback_gain.T - inj_hat[:steps]
+            sampled, ready = fills[:steps] > 0, fills[:steps] > window
+
+            def gated(on, out_map):
+                out = np.zeros((steps, out_map.shape[0]))
+                out[on] = past[on] @ out_map.T
+                return out
+
+            u[:, tm] += gated(ready, maps.V[:victim.m])
             for fieldname, block, where in (
-                ("xa", states[:, rs], tn), ("inj", injection, tm), ("inj_hat", inj_hat, tm),
-                ("xa_ls", xa_ls, tn), ("xa_pub", xa_pub, tn), ("xa_fwd", xa_fwd, tn),
+                ("xa", past[:, rs], tn), ("inj", injection[:steps], tm),
+                ("inj_hat", gated(ready, maps.Rs), tm), ("xa_ls", gated(sampled, maps.Ls), tn),
+                ("xa_pub", gated(ready, maps.Ps), tn), ("xa_fwd", gated(ready, maps.Fs), tn),
             ):
-                rows[:, dest[fieldname][where]] = block[:steps]
-            rows[:, dest["phase"][tpos]] = phase[:steps]
+                rows[:, dest[fieldname][where]] = block
+            post = (decided_step[tpos] >= 0) & (np.arange(steps) > decided_step[tpos])
+            rows[:, dest["phase"][tpos]] = post.astype(int) + ready
         rows[:, dest["u"]] = u
         if attack is not None:
             u[:, tm] += injection[:steps]
@@ -809,6 +859,7 @@ def _simulate(
     armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
     s = np.concatenate([subsystems[i].x0 for i in nodes] + [np.zeros(dim - n_total)])
     err_prev = None
+    fill = 0
     for k in range(horizon):
         states[k] = s
 
@@ -837,8 +888,9 @@ def _simulate(
                     n_decided = int(np.count_nonzero(decided_step >= 0))
             err_prev = err
 
-        # 5. accommodation on the target, from the step after its decision
-        correction = None
+        # 5. accommodation on the target, from the step after its decision.
+        # Its least squares, window inversion and forward model are rows of
+        # the operator; a quiet source empties the window.
         if attack is not None and 0 <= decided_step[tpos] < k:
             if n_decided > 1:
                 _check_finite(log(k), index, nodes)
@@ -847,26 +899,17 @@ def _simulate(
                     f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
                     "superpose and accommodation supports a single attacked node"
                 )
-            if src_pos and alarm_on[k, src_pos].all():
-                value = d.ls.stack_pinv @ alarms[k, src_idx]
-                xa_ls[k] = value
-                samples.append(value)
-            else:
-                samples.clear()
-            estimate, ready = reconstruct_input(d.recon, samples)
-            phase[k] = 2 if ready else 1
-            if ready:
-                forward = d.recon.A @ forward + d.recon.B @ estimate
-                xa_pub[k] = merge_kernel_component(d.ls.projection, value, forward)
-                inj_hat[k], xa_fwd[k] = estimate, forward
-                correction = d.feedback_gain @ xa_pub[k] - estimate
+            fill = fill + 1 if alarm_on[k, src_pos].all() else 0
+            fills[k] = fill
 
-        # 6-7. control, injection and advance
-        s = M @ s
-        if correction is not None:
-            s += correct @ correction
+        # 6-7. control, injection and advance; a full window adds the
+        # forward advance and the control correction
+        nxt = M @ s
+        if fill > window:
+            nxt += maps.U @ (maps.V @ s)
         if attack is not None and k >= onset:
-            s += inject @ injection[k]
+            nxt += maps.inject @ injection[k]
+        s = nxt
 
     del M  # the largest array; logging does not need it
     table = log(horizon)

@@ -3,10 +3,12 @@
 ``covacc.scenario._simulate`` advances the whole network as one augmented
 state under one transition matrix.  This module computes the same tick one
 node at a time, from per-node step functions: the plant and the covert
-injector, the two observers, the alarm and unanimity rule, and the
-accommodated control law.  ``reference_run`` rebuilds ``covacc.run`` on
-that loop, and ``csv_writer_oracle`` writes a trace value by value
-through ``csv.writer``.
+injector, the two observers, the alarm and unanimity rule, the target's
+per-step accommodation (least squares, window inversion and kernel merge,
+which the runner folds into its operator), and the accommodated control
+law.  ``reference_run`` rebuilds ``covacc.run`` on that loop, and
+``csv_writer_oracle`` writes a trace value by value through
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ import numpy as np
 
 from covacc import (
     ConfigurationError,
+    InputReconstructor,
+    LsEstimator,
+    ProjectionPair,
     ProtocolError,
     Subsystem,
     Topology,
     UioDesign,
     build_designs,
     calibrate_thresholds,
-    ls_estimate,
-    merge_kernel_component,
-    reconstruct_input,
 )
 from covacc.model import _vector
 
@@ -201,6 +203,55 @@ class AccommodationState:
         self.samples.append((step, np.asarray(value, dtype=float).copy()))
         while len(self.samples) > capacity:
             self.samples.pop(0)
+
+
+def ls_estimate(estimator: LsEstimator, payloads: Mapping[int, np.ndarray]) -> np.ndarray:
+    """Stack the payloads in source order and solve in the least-squares sense.
+
+    The result estimates the replica state one step back (the payloads are
+    lagged aggregates).  Callers gate on all payloads being nonzero; this
+    function only insists that every source is present.
+    """
+    rows = []
+    for j in estimator.sources:
+        if j not in payloads:
+            raise ProtocolError(f"no alarm payload from source node {j}")
+        rows.append(np.atleast_1d(np.asarray(payloads[j], dtype=float)))
+    if not rows:
+        return np.zeros(estimator.projection.dim)
+    return estimator.stack_pinv @ np.concatenate(rows)
+
+
+def reconstruct_input(recon: InputReconstructor, samples: Sequence[np.ndarray]):
+    """Recover the injected input from consecutive replica-state estimates.
+
+    ``samples`` holds the estimates oldest first, full state dimension each
+    (the raw least-squares output is fine; only its interacting part is
+    used).  Needs ``window + 1`` of them.  Returns ``(estimate, True)``
+    once the window is full and ``(zeros, False)`` while it is filling.
+    The estimate is the input injected ``output_delay + 1`` steps before
+    the newest sample's time tag.
+    """
+    if len(samples) < recon.window + 1:
+        return np.zeros(recon.B.shape[1]), False
+    recent = list(samples)[-(recon.window + 1):]
+    return recon.readout @ np.concatenate(recent).astype(float, copy=False), True
+
+
+def merge_kernel_component(
+    projection: ProjectionPair,
+    ls_value: np.ndarray,
+    forward_state: np.ndarray,
+) -> np.ndarray:
+    """Interacting part from least squares, kernel part from the forward model.
+
+    With a trivial kernel this is the least-squares value unchanged.
+    """
+    ls_value = np.asarray(ls_value, dtype=float)
+    if projection.kernel_dim == 0:
+        return ls_value.copy()
+    return (projection.interacting_projector @ ls_value
+            + projection.kernel_projector @ np.asarray(forward_state, dtype=float))
 
 
 def reference_loop(config, designs, thresholds, arm_step):

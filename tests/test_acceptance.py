@@ -17,14 +17,13 @@ from covacc import (
     build_ls_estimator,
     kernel_and_projection,
     load_scenario,
-    ls_estimate,
     pseudo_inverse,
     run,
     spectral_radius,
     stabilizing_gain,
 )
 
-from reference import AlarmSignal, decide_attack, step_uio, uio_estimate
+from reference import AlarmSignal, decide_attack, ls_estimate, step_uio, uio_estimate
 
 
 A_REF = np.array([[0.4, 0.2], [0.0, 0.3]])

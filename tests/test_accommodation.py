@@ -11,14 +11,17 @@ from covacc import (
     build_ls_estimator,
     build_reconstructor,
     kernel_and_projection,
-    ls_estimate,
-    merge_kernel_component,
     neighbor_cancellation_gains,
     pseudo_inverse,
-    reconstruct_input,
 )
 
-from reference import AccommodationState, accommodated_control
+from reference import (
+    AccommodationState,
+    accommodated_control,
+    ls_estimate,
+    merge_kernel_component,
+    reconstruct_input,
+)
 
 
 A = np.array([[0.4, 0.2], [0.0, 0.3]])
@@ -123,6 +126,17 @@ class TestBuildReconstructor:
         proj = kernel_and_projection(np.eye(2))
         with pytest.raises(SynthesisError, match="never reacts"):
             build_reconstructor(A, np.zeros((2, 1)), proj)
+
+    @pytest.mark.parametrize("topo", [
+        Topology(2, {1: (), 2: (1,)}, {(2, 1): BLK_FULL}),
+        Topology(2, {1: (2,), 2: (1,)}, {(1, 2): np.zeros((2, 2)), (2, 1): BLK_FULL}),
+    ], ids=["no_outbound_edge", "zero_outbound_block"])
+    def test_unwitnessed_target_rejected(self, topo):
+        # nobody receives node 2's state, or only through a zero block
+        est = build_ls_estimator(topo, 2, 2)
+        assert est.projection.kernel_dim == 2
+        with pytest.raises(SynthesisError, match="no nonzero row"):
+            build_reconstructor(A, B, est.projection)
 
     def test_window_below_state_dimension_rejected(self):
         proj = kernel_and_projection(np.eye(2))

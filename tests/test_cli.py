@@ -167,6 +167,31 @@ class TestRun:
         assert main(["designs", "--scenario", str(path)]) == 3
         assert capsys.readouterr().err.startswith("synthesis:")
 
+    @pytest.mark.parametrize("edges, neighbors", [
+        ([], {"1": [], "2": [1]}),
+        ([{"i": 1, "j": 2, "matrix": [[0.0, 0.0], [0.0, 0.0]]}], {"1": [2], "2": [1]}),
+    ], ids=["no_outbound_edge", "zero_outbound_block"])
+    def test_unwitnessed_target_exits_3(self, capsys, tmp_path, edges, neighbors):
+        # no neighbor receives node 2's state through a nonzero block, so
+        # no alarm can witness the attack on it
+        sub = {"A": [[0.4, 0.2], [0.0, 0.3]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
+        doc = {
+            "name": "unwitnessed",
+            "horizon": 40,
+            "subsystems": [dict(sub, index=i) for i in (1, 2)],
+            "topology": {
+                "neighbors": neighbors,
+                "coupling": {"default": [[0.1, 0.0], [0.0, -0.01]], "edges": edges},
+            },
+            "attack": {"target": 2, "onset": 20, "signal": {"kind": "constant", "value": [1.0]}},
+        }
+        path = tmp_path / "unwitnessed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "trace.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("synthesis: attacked node 2:")
+        assert "no nonzero row" in err
+
     def test_two_simultaneous_decisions_exit_4(self, capsys, tmp_path):
         # nodes 3 and 4 share the watcher pair {1, 2}, so an attack on 3
         # makes both decide on the same step and accommodation refuses

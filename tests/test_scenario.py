@@ -80,6 +80,16 @@ def stopping_doc():
     return doc
 
 
+def resuming_doc():
+    """``five_node_lowrank`` whose attack pauses: the sources go quiet at step 51
+    and loud again at 78, and the window is full again at step 80."""
+    doc = bundled_doc("five_node_lowrank")
+    doc["horizon"] = 120
+    doc["attack"]["signal"] = {"kind": "table", "values": [1.0] * 15 + [0.0] * 40 + [1.0],
+                               "after": "hold"}
+    return doc
+
+
 def grid_doc(seed):
     """The benchmark's seeded 10x10 grid scenario (``bench/gen_grid.py``)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "gen_grid.py"
@@ -365,8 +375,8 @@ class TestStackedRunner:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
-        "case", ["fullrank", "lowrank", "lowrank_long", "stopping", "blind", "attack_free",
-                 "mixed", "mixed_explicit", "grid0"]
+        "case", ["fullrank", "lowrank", "lowrank_long", "stopping", "resuming", "blind",
+                 "attack_free", "mixed", "mixed_explicit", "grid0"]
     )
     def test_matches_per_node_reference(self, request, case):
         detect = case != "blind"
@@ -383,6 +393,9 @@ class TestStackedRunner:
             config = dataclasses.replace(request.getfixturevalue("lowrank_config"), horizon=2000)
         elif case == "stopping":
             config = load_scenario(stopping_doc())
+        elif case == "resuming":
+            # the window refills over stale samples while the forward state persists
+            config = load_scenario(resuming_doc())
         else:
             config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
             if case == "attack_free":
