@@ -231,8 +231,12 @@ def load_scenario(source) -> ScenarioConfig:
         neighbors[i] = tuple(_number(j, int, f"topology.neighbors[{key}]") for j in value)
     raw_coupling = _mapping(raw_topo.get("coupling", {}), "topology.coupling")
     default_block = raw_coupling.get("default")
+    # every edge gets the default block; Topology rejects a block on a
+    # non-edge and an edge left without one
+    coupling = {} if default_block is None else {
+        (i, j): default_block for i, nbrs in neighbors.items() for j in nbrs
+    }
     edges = raw_coupling.get("edges", [])
-    overrides = {}
     if not isinstance(edges, list):
         raise ConfigurationError("topology.coupling.edges: expected a list")
     for pos, entry in enumerate(edges):
@@ -240,21 +244,7 @@ def load_scenario(source) -> ScenarioConfig:
         _mapping(entry, tag)
         i = _number(_require(entry, "i", tag), int, f"{tag}.i")
         j = _number(_require(entry, "j", tag), int, f"{tag}.j")
-        overrides[(i, j)] = _require(entry, "matrix", tag)
-    coupling = {}
-    for i in sorted(neighbors):
-        for j in neighbors[i]:
-            block = overrides.pop((i, j), default_block)
-            if block is None:
-                raise ConfigurationError(
-                    f"topology.coupling: no block for edge ({i},{j}) and no default given"
-                )
-            coupling[(i, j)] = block
-    if overrides:
-        extra = sorted(overrides)
-        raise ConfigurationError(
-            f"topology.coupling.edges: entries for non-edges {extra}"
-        )
+        coupling[(i, j)] = _require(entry, "matrix", tag)
     topology = Topology(n_nodes=n_nodes, neighbors=neighbors, coupling=coupling)
     for (i, j), block in topology.coupling.items():
         want = (subsystems[i].n, subsystems[j].n)
@@ -401,76 +391,59 @@ def build_designs(config: ScenarioConfig) -> dict:
     return designs
 
 
-_VECTOR_FIELDS = (
-    ("x", "n"),
-    ("xa", "n"),
-    ("xhat_loc", "n"),
-    ("xhat_coop", "n"),
-    ("ymeas", "p"),
-    ("u", "m"),
-    ("u_applied", "m"),
-    ("inj", "m"),
-    ("inj_hat", "m"),
-    ("xa_ls", "n"),
-    ("xa_pub", "n"),
-    ("xa_fwd", "n"),
-    ("alarm", "n"),
-)
+# each vector field and the node dimension that sizes it
+_VECTOR_FIELDS = {
+    "x": "n", "xa": "n", "xhat_loc": "n", "xhat_coop": "n", "ymeas": "p", "u": "m",
+    "u_applied": "m", "inj": "m", "inj_hat": "m", "xa_ls": "n", "xa_pub": "n",
+    "xa_fwd": "n", "alarm": "n",
+}
 _SCALAR_FIELDS = ("resid_loc", "resid_coop", "alarm_on", "decided", "phase")
-_INT_FIELDS = {"alarm_on", "decided", "phase"}
+_INT_COLUMNS = ("step", "node", "alarm_on", "decided", "phase")
 
 # Rows per write in ScenarioTrace.to_csv: enough to amortize the formatting
 # call, few enough that the text never weighs on peak memory.
 _CSV_CHUNK_ROWS = 4096
 
 
-def _column_index(subsystems: Mapping[int, Subsystem]) -> dict:
-    """Where each field sits in a node's rows of the trace table.
+def _column_names(subsystems: Mapping[int, Subsystem]) -> tuple:
+    """The CSV header, which is also the trace table's column layout.
 
-    A node's row holds step and node in columns 0 and 1, then its vector
-    fields at its own dimensions, then the scalar fields, with no gaps:
-    ``{node: {field: slice for a vector field, column for a scalar}}``.
-    Columns past a smaller node's last scalar stay zero.
+    ``step`` and ``node``, then each vector field as wide as the largest
+    node's vector (``x1``, ``x2``, ...), then the scalar fields.  A node
+    with a smaller vector leaves the rest of that field's columns at 0.
     """
-    index = {}
-    for i in sorted(subsystems):
-        col = 2
-        cols = {}
-        for fieldname, attr in _VECTOR_FIELDS:
-            dim = getattr(subsystems[i], attr)
-            cols[fieldname] = slice(col, col + dim)
-            col += dim
-        for col, fieldname in enumerate(_SCALAR_FIELDS, start=col):
-            cols[fieldname] = col
-        index[i] = cols
-    return index
+    names = ["step", "node"]
+    for fieldname, dim in _VECTOR_FIELDS.items():
+        width = max(getattr(sub, dim) for sub in subsystems.values())
+        names += [f"{fieldname}{c + 1}" for c in range(width)]
+    return tuple(names) + _SCALAR_FIELDS
 
 
-def _column_label(cols: Mapping[str, object], col: int) -> str:
-    """The CSV column name of a field's table column in one node's rows."""
-    for fieldname, where in cols.items():
-        if isinstance(where, slice) and where.start <= col < where.stop:
-            return f"{fieldname}{col - where.start + 1}"
-        if where == col:
-            return fieldname
+def _field_columns(columns: tuple, subsystem: Subsystem, fieldname: str):
+    """A field's table columns in one node's rows: a slice for a vector field, a column for a scalar."""
+    if fieldname in _VECTOR_FIELDS:
+        start = columns.index(f"{fieldname}1")
+        return slice(start, start + getattr(subsystem, _VECTOR_FIELDS[fieldname]))
+    return columns.index(fieldname)
 
 
 @dataclass
 class ScenarioTrace:
     """Full per-step, per-node log of one run.
 
-    ``table`` is a read-only float array with one row per (step, node),
-    step-major like the CSV; ``index[node]`` locates each field in that
-    node's rows (see ``_column_index``).  ``series(i, field)`` is a
-    read-only view of shape (horizon, dim) for vector fields or (horizon,)
-    for scalars; the int fields come back as floats holding integers.
+    ``table`` is a read-only float array laid out as the CSV body: one row
+    per (step, node), step-major, under the header ``columns`` (see
+    ``_column_names``), with 0 in the cells the CSV leaves empty.
+    ``series(i, field)`` is a read-only view of shape (horizon, dim) for
+    vector fields or (horizon,) for scalars; the int fields come back as
+    floats holding integers.
     """
 
     name: str
     horizon: int
     nodes: tuple
     table: np.ndarray
-    index: dict
+    columns: tuple
     thresholds: dict
     arm_step: int
     decision_steps: dict
@@ -478,52 +451,37 @@ class ScenarioTrace:
     config: ScenarioConfig
 
     def series(self, node: int, fieldname: str) -> np.ndarray:
-        cols = self.index[node][fieldname]
+        cols = _field_columns(self.columns, self.config.subsystems[node], fieldname)
         return self.table[self.nodes.index(node)::len(self.nodes), cols]
 
-    def _widths(self) -> dict:
-        """Columns per vector field: the largest node's dimension."""
-        return {
-            fieldname: max(self.series(i, fieldname).shape[1] for i in self.nodes)
-            for fieldname, _ in _VECTOR_FIELDS
-        }
-
     def column_names(self) -> list:
-        names = ["step", "node"]
-        for fieldname, width in self._widths().items():
-            names.extend(f"{fieldname}{c + 1}" for c in range(width))
-        names.extend(_SCALAR_FIELDS)
-        return names
+        return list(self.columns)
 
     def to_csv(self, path) -> None:
         """Write the trace as ``csv.writer`` would write ``column_names()`` and the rows.
 
         Floats at 17 significant digits, step, node and the int fields as
         integers, an empty cell wherever a node's vector is shorter than the
-        widest, ``\\r\\n`` line ends.  Each node has one ``%``-format string;
-        the file is written a chunk of steps at a time.
+        widest, ``\\r\\n`` line ends.  Each node has one ``%``-format string
+        over its whole table row, in which a padding cell is ``%.0s``: it
+        takes its 0 and prints nothing.  The file is written a chunk of
+        steps at a time.
         """
         n_nodes = len(self.nodes)
-        widths = self._widths()
         formats = []
         for i in self.nodes:
-            cells = ["%d", "%d"]
-            for fieldname, _ in _VECTOR_FIELDS:
-                dim = self.series(i, fieldname).shape[1]
-                cells += ["%.17g"] * dim + [""] * (widths[fieldname] - dim)
-            cells += ["%d" if f in _INT_FIELDS else "%.17g" for f in _SCALAR_FIELDS]
+            cells = np.full(len(self.columns), "%.0s", dtype=object)
+            for fieldname in (*_VECTOR_FIELDS, *_SCALAR_FIELDS):
+                cells[_field_columns(self.columns, self.config.subsystems[i], fieldname)] = "%.17g"
+            cells[[self.columns.index(c) for c in _INT_COLUMNS]] = "%d"
             formats.append(",".join(cells) + "\r\n")
         step_format = "".join(formats)
-        # the table cells the formats consume: each node's row up to its last scalar
-        last = np.array([[self.index[i][_SCALAR_FIELDS[-1]]] for i in self.nodes])
-        used = np.arange(self.table.shape[1]) <= last
         chunk = max(1, _CSV_CHUNK_ROWS // n_nodes)
         with open(path, "w", newline="") as handle:
-            handle.write(",".join(self.column_names()) + "\r\n")
+            handle.write(",".join(self.columns) + "\r\n")
             for k in range(0, self.horizon, chunk):
                 steps = min(chunk, self.horizon - k)
-                block = self.table[k * n_nodes:(k + steps) * n_nodes]
-                cells = block[np.tile(used, (steps, 1))].tolist()
+                cells = self.table[k * n_nodes:(k + steps) * n_nodes].ravel().tolist()
                 handle.write((step_format * steps) % tuple(cells))
 
 
@@ -552,18 +510,15 @@ def _resolve_thresholds(config: ScenarioConfig, designs: dict) -> tuple:
     return values, arm
 
 
-def run(config: ScenarioConfig, detect: bool = True) -> ScenarioTrace:
+def run(config: ScenarioConfig) -> ScenarioTrace:
     """Run a scenario end to end and return the trace.
 
-    ``detect=False`` runs without thresholds (useful for twin comparisons):
-    every threshold is infinite, so no alarm rises, no node decides and
-    accommodation never starts.  The calibration rehearsal is skipped, so
-    such a trace reports ``inf`` for every node's threshold and 0 for
-    ``arm_step``.
+    A run without detection (useful for twin comparisons) is a run with
+    explicit thresholds that are all ``math.inf``: no alarm rises, no node
+    decides and accommodation never starts.  Explicit thresholds skip the
+    calibration rehearsal, and ``arm_step`` defaults to 0 for them.
     """
     designs = build_designs(config)
-    if not detect:
-        return _simulate(config, designs, {}, 0)
     thresholds, arm_step = _resolve_thresholds(config, designs)
     return _simulate(config, designs, thresholds, arm_step)
 
@@ -577,16 +532,13 @@ def _stacked(nodes: tuple, rows: Mapping, cols: Mapping, block: Callable) -> np.
     return out
 
 
-def _check_finite(rows: np.ndarray, index: dict, nodes: tuple) -> None:
+def _check_finite(rows: np.ndarray, columns: tuple, nodes: tuple) -> None:
     """Raise ProtocolError naming the first non-finite value in leading trace-table rows."""
     finite = np.isfinite(rows)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         k, pos = divmod(int(row), len(nodes))
-        raise ProtocolError(
-            f"non-finite {_column_label(index[nodes[pos]], int(col))} on node {nodes[pos]} "
-            f"at step {k}; the run diverged"
-        )
+        raise ProtocolError(f"non-finite {columns[col]} on node {nodes[pos]} at step {k}; the run diverged")
 
 
 @dataclass(frozen=True)
@@ -743,8 +695,11 @@ def _simulate(
     the fixed rank-(m + n) update ``U @ (V @ s)``.  The states are stored
     per step, and after the loop every linear trace field is one product
     over all steps (gated by the count for the accommodation fields),
-    written straight into the trace table.  The attack signal is evaluated
-    once, before the first step.
+    written straight into the trace table under the CSV header's columns
+    (``_column_names``).  The attack signal is evaluated once, before the
+    first step: a value of the wrong length, or a ``ValueError`` or
+    ``ArithmeticError`` raised by the signal, is a ConfigurationError naming
+    the step.
     """
     subsystems = config.subsystems
     topology = config.topology
@@ -787,7 +742,12 @@ def _simulate(
             )
         injection = np.zeros((horizon, victim.m))
         for k in range(onset, horizon):
-            injection[k] = _vector(attack.signal(k), victim.m, f"attacker signal at step {k}")
+            label = f"attacker signal at step {k}"
+            try:
+                value = attack.signal(k)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigurationError(f"{label}: {exc}") from exc
+            injection[k] = _vector(value, victim.m, label)
         rs = slice(3 * n_total, 3 * n_total + victim.n)
         src_pos = [nodes.index(j) for j in designs[target].ls.sources]
         window = designs[target].recon.window
@@ -801,19 +761,16 @@ def _simulate(
     # fills[k]: consecutive post-decision steps up to k with every source's alarm on
     fills = np.zeros(horizon, dtype=int)
 
-    index = _column_index(subsystems)
-    width = max(index[i][_SCALAR_FIELDS[-1]] for i in nodes) + 1
+    columns = _column_names(subsystems)
+    width = len(columns)
     # dest[field]: where each entry of the field, stacked over nodes, lands in one step's rows
+    cell = np.arange(n_nodes * width).reshape(n_nodes, width)
     dest = {
-        fieldname: np.array([
-            pos * width + col
-            for pos, i in enumerate(nodes)
-            for col in range(index[i][fieldname].start, index[i][fieldname].stop)
+        fieldname: np.hstack([
+            cell[pos, _field_columns(columns, subsystems[i], fieldname)] for pos, i in enumerate(nodes)
         ])
-        for fieldname, _ in _VECTOR_FIELDS
+        for fieldname in (*_VECTOR_FIELDS, *_SCALAR_FIELDS)
     }
-    dest.update({f: np.array([pos * width + index[i][f] for pos, i in enumerate(nodes)])
-                 for f in _SCALAR_FIELDS})
 
     def log(steps: int) -> np.ndarray:
         """The trace table of steps 0..steps-1, one product per linear field."""
@@ -893,7 +850,7 @@ def _simulate(
         # the operator; a quiet source empties the window.
         if attack is not None and 0 <= decided_step[tpos] < k:
             if n_decided > 1:
-                _check_finite(log(k), index, nodes)
+                _check_finite(log(k), columns, nodes)
                 decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
                 raise ProtocolError(
                     f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
@@ -913,14 +870,14 @@ def _simulate(
 
     del M  # the largest array; logging does not need it
     table = log(horizon)
-    _check_finite(table, index, nodes)
+    _check_finite(table, columns, nodes)
     table.flags.writeable = False
     return ScenarioTrace(
         name=config.name,
         horizon=horizon,
         nodes=nodes,
         table=table,
-        index=index,
+        columns=columns,
         thresholds={i: thresholds.get(i, math.inf) for i in nodes},
         arm_step=arm_step,
         decision_steps={i: (k if k >= 0 else None) for i, k in zip(nodes, decided_step.tolist())},

@@ -13,6 +13,8 @@ import pytest
 
 from covacc import load_scenario, run
 
+from reference import blind
+
 
 def _bundled(name):
     text = resources.files("covacc").joinpath(f"scenarios/{name}.json").read_text()
@@ -59,7 +61,7 @@ def lowrank_trace(lowrank_config):
 @pytest.fixture(scope="session")
 def fullrank_blind_trace(fullrank_config):
     """Attacked run with detection disabled: estimates stay nominal."""
-    return run(fullrank_config, detect=False)
+    return run(blind(fullrank_config))
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,9 @@ node at a time, from per-node step functions: the plant and the covert
 injector, the two observers, the alarm and unanimity rule, the target's
 per-step accommodation (least squares, window inversion and kernel merge,
 which the runner folds into its operator), and the accommodated control
-law.  ``reference_run`` rebuilds ``covacc.run`` on that loop, and
+law.  ``reference_run`` rebuilds ``covacc.run`` on that loop,
 ``csv_writer_oracle`` writes a trace value by value through
-``csv.writer``.
+``csv.writer``, and ``blind`` turns a scenario's detection off.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from covacc import (
     ProjectionPair,
     ProtocolError,
     Subsystem,
+    ThresholdPolicy,
     Topology,
     UioDesign,
     build_designs,
@@ -347,13 +348,17 @@ def reference_loop(config, designs, thresholds, arm_step):
     return {i: {f: np.array(v, dtype=float) for f, v in logs[i].items()} for i in nodes}, decided
 
 
-def reference_run(config, detect=True):
+def blind(config):
+    """``config`` with every threshold infinite: no alarm rises, no node decides."""
+    policy = ThresholdPolicy(mode="explicit", values=dict.fromkeys(config.subsystems, math.inf))
+    return dataclasses.replace(config, thresholds=policy, arm_step=None)
+
+
+def reference_run(config):
     """``run`` rebuilt on ``reference_loop``: (series, thresholds, arm_step, decision_steps)."""
     designs = build_designs(config)
     policy = config.thresholds
-    if not detect:
-        thresholds, arm_step = dict.fromkeys(config.subsystems, math.inf), 0
-    elif policy.mode == "explicit":
+    if policy.mode == "explicit":
         thresholds = dict(policy.values)
         arm_step = config.arm_step if config.arm_step is not None else 0
     else:

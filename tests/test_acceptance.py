@@ -23,7 +23,7 @@ from covacc import (
     stabilizing_gain,
 )
 
-from reference import AlarmSignal, decide_attack, ls_estimate, step_uio, uio_estimate
+from reference import AlarmSignal, blind, decide_attack, ls_estimate, step_uio, uio_estimate
 
 
 A_REF = np.array([[0.4, 0.2], [0.0, 0.3]])
@@ -50,7 +50,7 @@ def first_active_step(trace, node):
 class TestCovertness:
     def test_criterion_1_masked_outputs_match_nominal_twin(self, fullrank_config):
         t0 = time.monotonic()
-        trace = run(fullrank_config, detect=False)
+        trace = run(blind(fullrank_config))
         elapsed = time.monotonic() - t0
 
         cfg = fullrank_config
@@ -100,7 +100,7 @@ class TestDecoupledErrorRecursions:
             sub["x0"] = [0.4 - 0.1 * idx, -0.3 + 0.1 * idx]
         with pytest.warns(RuntimeWarning):
             cfg = load_scenario(doc)
-        moving = run(cfg, detect=False)
+        moving = run(blind(cfg))
         worst_moving = 0.0
         for i in range(1, 6):
             F = moving.designs[i].uio.F

@@ -161,6 +161,18 @@ class TestBuildReconstructor:
         recon = build_reconstructor(Az, Bz, proj)
         assert recon.window == 2
 
+    def test_more_observed_rows_than_inputs(self):
+        # two observed rows, one input and one hidden direction: the
+        # invariant-zero check takes its non-square rank probe
+        A3 = np.array([[0.4, 0.2, 0.0], [0.0, 0.3, 0.1], [0.0, 0.0, 0.2]])
+        B3 = np.array([[0.0], [0.0], [1.0]])
+        proj = kernel_and_projection(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        assert (proj.interacting_map.shape[0], B3.shape[1], proj.kernel_dim) == (2, 1, 1)
+        recon = build_reconstructor(A3, B3, proj)
+        assert recon.window == 3
+        assert recon.rel_degree == (3, 2)
+        assert recon.output_delay == 3
+
     def test_longer_window_accepted(self):
         proj = kernel_and_projection(np.vstack([BLK_LOW, BLK_LOW]))
         recon = build_reconstructor(A, B, proj, window=4)

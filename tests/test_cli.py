@@ -45,6 +45,16 @@ MALFORMED = {
     "index_bool": (("subsystems", 0, "index"), True),
     "A_bool": (("subsystems", 0, "A"), [[True, 0.2], [0.0, 0.3]]),
     "attack_value_bool": (("attack", "signal", "value"), [True]),
+    "arm_step_negative": (("arm_step",), -1),
+    "reconstruction_window_zero": (("reconstruction_window",), 0),
+    "factor_zero": (("thresholds", "factor"), 0),
+    "floor_negative": (("thresholds", "floor"), -1),
+    "window_one_bound": (("thresholds", "window"), [5]),
+    "period_zero": (("attack", "signal"), {"kind": "sinusoid", "amplitude": [1.0], "period": 0}),
+    "table_empty": (("attack", "signal"), {"kind": "table", "values": []}),
+    # 2 pi / period overflows to inf one step after the onset, and sin(inf) has no value
+    "period_subnormal": (("attack", "signal"),
+                         {"kind": "sinusoid", "amplitude": [1.0], "period": 1e-320}),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import place_poles
 
 from covacc import (
     SynthesisError,
@@ -16,6 +17,10 @@ from covacc import (
 
 A_PAIR = np.array([[0.4, 0.2], [0.0, 0.3]])
 B_PAIR = np.array([[0.0], [1.0]])
+# mode 0.1 is uncontrollable, so pole placement rejects the pair and the
+# Riccati design has to move mode 0.9 under the target
+A_STUCK = np.diag([0.1, 0.9])
+B_STUCK = np.array([[0.0], [1.0]])
 
 
 class TestPseudoInverse:
@@ -134,6 +139,13 @@ class TestStabilizingGain:
         with pytest.raises(SynthesisError, match="2"):
             stabilizing_gain(A, B, 0.5)
 
+    def test_riccati_fallback_when_placement_rejects(self):
+        with pytest.raises(ValueError):
+            place_poles(A_STUCK, B_STUCK, [0.5, 0.25])
+        K = stabilizing_gain(A_STUCK, B_STUCK, 0.5)
+        spectrum = sorted(abs(np.linalg.eigvals(A_STUCK - B_STUCK @ K)))
+        np.testing.assert_allclose(spectrum, [0.1, 0.362333], atol=1e-6)
+
     def test_three_state_random_controllable(self):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((3, 3))
@@ -153,6 +165,12 @@ class TestObserverGain:
         L = observer_gain(A_PAIR, C, 0.3)
         assert L.shape == (2, 1)
         assert spectral_radius(A_PAIR - L @ C) <= 0.3 + 1e-9
+
+    def test_riccati_fallback_through_the_dual(self):
+        C = B_STUCK.T
+        L = observer_gain(A_STUCK, C, 0.5)
+        spectrum = sorted(abs(np.linalg.eigvals(A_STUCK - L @ C)))
+        np.testing.assert_allclose(spectrum, [0.1, 0.362333], atol=1e-6)
 
     def test_undetectable_unstable_mode_is_rejected(self):
         # second coordinate is invisible through C and unstable

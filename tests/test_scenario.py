@@ -22,7 +22,7 @@ from covacc import (
 )
 from covacc.scenario import _resolve_thresholds, _simulate
 
-from reference import SCALAR_FIELDS, VECTOR_FIELDS, csv_writer_oracle, reference_run
+from reference import SCALAR_FIELDS, VECTOR_FIELDS, blind, csv_writer_oracle, reference_run
 
 
 def bundled_doc(name):
@@ -137,6 +137,19 @@ class TestLoadScenario:
         with pytest.raises(ConfigurationError, match=r"\(2,1\)"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("coupling, message", [
+        ({"edges": [{"i": 1, "j": 2, "matrix": [[0.1, 0.0], [0.0, 0.1]]}]},
+         r"no block for edge \(2,1\)"),
+        ({"default": [[0.1, 0.0], [0.0, -0.01]],
+          "edges": [{"i": 1, "j": 1, "matrix": [[0.1, 0.0], [0.0, 0.1]]}]},
+         r"\(1,1\) is not an edge"),
+    ], ids=["edge_without_block", "block_on_non_edge"])
+    def test_coupling_must_match_the_edges(self, coupling, message):
+        doc = minimal_doc()
+        doc["topology"]["coupling"] = coupling
+        with pytest.raises(ConfigurationError, match=message):
+            load_scenario(doc)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_onset_at_horizon_rejected(self):
         doc = bundled_doc("five_node_fullrank")
@@ -211,7 +224,7 @@ class TestRunBasics:
             sub["x0"] = [0.5, -0.5]
         with pytest.warns(RuntimeWarning):
             cfg = load_scenario(doc)
-        trace = run(cfg, detect=False)
+        trace = run(blind(cfg))
         for i in range(1, 6):
             final = trace.series(i, "x")[-1]
             assert np.linalg.norm(final) < 1e-8
@@ -292,18 +305,18 @@ class TestDetectOff:
     def test_same_trajectory_until_compensation(self, request, name):
         config = request.getfixturevalue(f"{name}_config")
         detected = request.getfixturevalue(f"{name}_trace")
-        blind = run(config, detect=False)
-        assert all(t == math.inf for t in blind.thresholds.values())
-        assert blind.arm_step == 0
+        blind_trace = run(blind(config))
+        assert all(t == math.inf for t in blind_trace.thresholds.values())
+        assert blind_trace.arm_step == 0
         # the first step whose control law carries the attack corrections
         phase = detected.series(config.attack.target, "phase")
         first = int(np.argmax(phase == 2))
         assert phase[first] == 2 and first > config.attack.onset
         for fieldname in ("x", "xa", "xhat_loc", "xhat_coop", "ymeas", "u", "u_applied",
                           "inj", "resid_loc", "resid_coop"):
-            for i in blind.nodes:
+            for i in blind_trace.nodes:
                 np.testing.assert_array_equal(
-                    blind.series(i, fieldname)[:first], detected.series(i, fieldname)[:first]
+                    blind_trace.series(i, fieldname)[:first], detected.series(i, fieldname)[:first]
                 )
 
 
@@ -361,8 +374,10 @@ class TestNonFinite:
         doc = bundled_doc("five_node_fullrank")
         doc["attack"]["signal"]["value"] = [1e308]
         config = load_scenario(doc)
+        if not detect:
+            config = blind(config)
         with pytest.raises(ProtocolError, match="non-finite resid_loc on node 1 at step 22"):
-            run(config, detect=detect)
+            run(config)
 
     @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
     def test_bundled_runs_stay_finite(self, request, name):
@@ -375,11 +390,10 @@ class TestStackedRunner:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
-        "case", ["fullrank", "lowrank", "lowrank_long", "stopping", "resuming", "blind",
-                 "attack_free", "mixed", "mixed_explicit", "grid0"]
+        "case", ["fullrank", "lowrank", "lowrank_long", "lowrank_window4", "stopping", "resuming",
+                 "blind", "attack_free", "mixed", "mixed_explicit", "grid0"]
     )
     def test_matches_per_node_reference(self, request, case):
-        detect = case != "blind"
         if case.startswith("mixed"):
             doc = mixed_doc()
             if case == "mixed_explicit":
@@ -396,12 +410,20 @@ class TestStackedRunner:
         elif case == "resuming":
             # the window refills over stale samples while the forward state persists
             config = load_scenario(resuming_doc())
+        elif case == "lowrank_window4":
+            # a register longer than n, loaded from the document with an explicit arm step
+            doc = bundled_doc("five_node_lowrank")
+            doc.update(reconstruction_window=4, arm_step=22)
+            config = load_scenario(doc)
+            assert (config.reconstruction_window, config.arm_step) == (4, 22)
         else:
             config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
             if case == "attack_free":
                 config = dataclasses.replace(config, attack=None)
-        trace = run(config, detect=detect)
-        series, thresholds, arm_step, decided = reference_run(config, detect=detect)
+            elif case == "blind":
+                config = blind(config)
+        trace = run(config)
+        series, thresholds, arm_step, decided = reference_run(config)
         assert trace.decision_steps == decided
         assert trace.arm_step == arm_step
         assert trace.thresholds == pytest.approx(thresholds, rel=0, abs=1e-12)
