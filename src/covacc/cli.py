@@ -60,9 +60,9 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
                 f"{config.attack.onset}"
             )
         config = replace(config, horizon=args.horizon)
-    if getattr(args, "calibrate", False) and config.thresholds.mode != "calibrate":
+    if getattr(args, "calibrate", False) and config.thresholds.values is not None:
         window = default_calibration_window(config.attack, config.horizon)
-        config = replace(config, thresholds=ThresholdPolicy(mode="calibrate", window=window))
+        config = replace(config, thresholds=ThresholdPolicy(window=window))
     return config
 
 
@@ -89,7 +89,7 @@ def _cmd_validate(args) -> int:
     parts = [
         f"{config.topology.n_nodes} nodes",
         f"horizon {config.horizon}",
-        f"thresholds {config.thresholds.mode}",
+        "thresholds " + ("calibrate" if config.thresholds.values is None else "explicit"),
     ]
     if config.attack is not None:
         parts.append(f"attack on node {config.attack.target} at step {config.attack.onset}")

@@ -3,7 +3,7 @@
 A covert attack is invisible in the victim's own measurements but shows in
 the received error of its neighbors' cooperative observers.  Each node
 compares the norm of that error with a threshold of its own; steps 3-4 of
-``scenario._simulate`` turn the comparisons into alarms and decisions.
+``scenario.run`` turn the comparisons into alarms and decisions.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ The plant is a directed network of linear subsystems
 
 updated synchronously: every next state is computed from the common
 pre-step snapshot, which makes the network exactly the stacked global
-linear system that ``scenario._simulate`` advances.
+linear system that ``scenario.run`` advances.
 
 The covert attacker on one node feeds a private replica of the node's
 model with whatever it injects at the actuator and subtracts the replica's

@@ -5,8 +5,7 @@ coupling as an unknown input, so no neighbor signal touches its estimate.
 The cooperative one (a plain ``numerics.observer_gain``) consumes the
 neighbors' exchanged estimates, so a bad neighbor estimate shows in its
 received error: a covert attack is invisible in the victim's own residuals
-but visible at its neighbors.  Both advance at step 7 of
-``scenario._simulate``.
+but visible at its neighbors.  Both advance at step 7 of ``scenario.run``.
 """
 
 from __future__ import annotations

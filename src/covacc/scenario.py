@@ -68,9 +68,13 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Either calibrate from an attack-free run or take explicit values."""
+    """Explicit ``values`` (one threshold per node), or calibrate when ``values`` is None.
 
-    mode: str = "calibrate"
+    Calibration rehearses the run without the attack and sets each node's
+    threshold to ``factor`` times its worst received-error norm over
+    ``window``, plus ``floor`` (``detection.calibrate_thresholds``).
+    """
+
     factor: float = 2.0
     floor: float = 1e-6
     window: tuple = (10, 20)
@@ -289,7 +293,6 @@ def load_scenario(source) -> ScenarioConfig:
         if lo < 0 or hi < lo:
             raise ConfigurationError(f"thresholds.window: bad window [{lo},{hi})")
         thresholds = ThresholdPolicy(
-            mode="calibrate",
             factor=_number(raw_thresh.get("factor", 2.0), float, "thresholds.factor"),
             floor=_number(raw_thresh.get("floor", 1e-6), float, "thresholds.floor"),
             window=(lo, hi),
@@ -311,7 +314,7 @@ def load_scenario(source) -> ScenarioConfig:
         missing = sorted(set(subsystems) - set(values))
         if missing:
             raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
-        thresholds = ThresholdPolicy(mode="explicit", values=values)
+        thresholds = ThresholdPolicy(values=values)
     else:
         raise ConfigurationError(f"thresholds.mode: expected 'calibrate' or 'explicit', got {mode!r}")
 
@@ -485,44 +488,6 @@ class ScenarioTrace:
                 handle.write((step_format * steps) % tuple(cells))
 
 
-def _resolve_thresholds(config: ScenarioConfig, designs: dict) -> tuple:
-    """Thresholds plus the arming step, calibrating on an attack-free run if asked.
-
-    The rehearsal stops at the calibration window's end: the run is causal,
-    so later steps cannot change the residuals the window reads.
-    """
-    policy = config.thresholds
-    if policy.mode == "explicit":
-        arm = config.arm_step if config.arm_step is not None else 0
-        return dict(policy.values), arm
-    quiet = replace(
-        config,
-        attack=None,
-        name=f"{config.name}-calibration",
-        horizon=min(config.horizon, policy.window[1]),
-    )
-    trace = _simulate(quiet, designs, {}, 0)
-    history = {i: trace.series(i, "resid_coop") for i in trace.nodes}
-    values = calibrate_thresholds(
-        history, factor=policy.factor, floor=policy.floor, window=policy.window
-    )
-    arm = config.arm_step if config.arm_step is not None else policy.window[1]
-    return values, arm
-
-
-def run(config: ScenarioConfig) -> ScenarioTrace:
-    """Run a scenario end to end and return the trace.
-
-    A run without detection (useful for twin comparisons) is a run with
-    explicit thresholds that are all ``math.inf``: no alarm rises, no node
-    decides and accommodation never starts.  Explicit thresholds skip the
-    calibration rehearsal, and ``arm_step`` defaults to 0 for them.
-    """
-    designs = build_designs(config)
-    thresholds, arm_step = _resolve_thresholds(config, designs)
-    return _simulate(config, designs, thresholds, arm_step)
-
-
 def _stacked(nodes: tuple, rows: Mapping, cols: Mapping, block: Callable) -> np.ndarray:
     """Dense matrix holding ``block(i)[j]`` at row segment ``rows[i]``, column segment ``cols[j]``."""
     out = np.zeros((rows[nodes[-1]].stop, cols[nodes[-1]].stop))
@@ -677,30 +642,64 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
     return M, replace(maps, inject=inject, Ls=Ls, Rs=Rs, Fs=Fs, Ps=Ps, U=U, V=V)
 
 
-def _simulate(
-    config: ScenarioConfig, designs: dict, thresholds: dict, arm_step: int
-) -> ScenarioTrace:
-    """One closed-loop run; a node missing from ``thresholds`` never alarms.
+def _resolve_thresholds(
+    config: ScenarioConfig, nodes: tuple, M: np.ndarray, Es: np.ndarray, s: np.ndarray, n_starts: list
+) -> tuple:
+    """Thresholds in node order plus the arming step (0 by default if explicit).
 
-    The loop state is one augmented vector ``s`` (see ``_operator``): the
-    plant, observer and cooperative-estimate vectors stacked over all
-    nodes (each node's entries at its own dimensions, in node order), then
-    with an attack the replica and the target's accommodation state.  One
-    transition matrix ``M``, built once per call by ``_operator``, advances
-    it; the injection enters through a column block of rank m.  Each step
-    does only the work whose result switches the dynamics: the received
-    errors ``Es @ s`` and the alarms once armed, the decisions, and after
-    the target's decision a count of the consecutive steps on which every
-    source's alarm is on.  Once that count passes the window the step adds
-    the fixed rank-(m + n) update ``U @ (V @ s)``.  The states are stored
-    per step, and after the loop every linear trace field is one product
-    over all steps (gated by the count for the accommodation fields),
-    written straight into the trace table under the CSV header's columns
-    (``_column_names``).  The attack signal is evaluated once, before the
-    first step: a value of the wrong length, or a ``ValueError`` or
-    ``ArithmeticError`` raised by the signal, is a ConfigurationError naming
-    the step.
+    An explicit policy must name every node.  A calibrated one rehearses
+    the run from ``s`` up to the window end (the run is causal, so later
+    steps cannot change what the window reads) on ``M``'s leading block,
+    over ``[x; z; xhat_coop]``.  That block is the attack-free loop: without
+    injection the replica stays at 0, and the accommodation rows feed
+    nothing back.  A contiguous copy rounds each product as the attack-free
+    operator does.  ``arm_step`` defaults to the window end.
     """
+    policy = config.thresholds
+    if policy.values is not None:
+        missing = sorted(set(nodes) - set(policy.values))
+        if missing:
+            raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
+        arm = config.arm_step if config.arm_step is not None else 0
+        return {i: policy.values[i] for i in nodes}, arm
+    lead = slice(0, 3 * Es.shape[0])
+    quiet_M, quiet_Es = np.ascontiguousarray(M[lead, lead]), np.ascontiguousarray(Es[:, lead])
+    quiet = np.empty((min(config.horizon, policy.window[1]), quiet_M.shape[0]))
+    s = s[lead]
+    for k in range(len(quiet)):
+        quiet[k] = s
+        s = quiet_M @ s
+    resid = np.sqrt(np.add.reduceat((quiet @ quiet_Es.T) ** 2, n_starts, axis=1))
+    _check_finite(resid.reshape(-1, 1), ("resid_coop",), nodes)
+    values = calibrate_thresholds(
+        dict(zip(nodes, resid.T)), factor=policy.factor, floor=policy.floor, window=policy.window
+    )
+    arm = config.arm_step if config.arm_step is not None else policy.window[1]
+    return values, arm
+
+
+def run(config: ScenarioConfig) -> ScenarioTrace:
+    """Run a scenario end to end and return the trace.
+
+    The designs, the operator, the thresholds and the loop are built once
+    each.  The loop state is one augmented vector ``s`` (see ``_operator``)
+    that one transition matrix ``M`` advances; the injection enters through
+    a column block of rank m.  A calibrated policy first rehearses the
+    attack-free run on part of ``M`` (``_resolve_thresholds``).  A run
+    without detection has explicit thresholds that are all ``math.inf``.
+
+    Each step does only the work whose result switches the dynamics: the
+    received errors ``Es @ s`` and the alarms once armed, the decisions,
+    and after the target's decision a count of the consecutive steps on
+    which every source's alarm is on.  Once that count passes the window
+    the step adds the fixed rank-(m + n) update ``U @ (V @ s)``.  After the
+    loop every linear trace field is one product over the stored states
+    (gated by the count for the accommodation fields), written into the
+    table under the CSV header's columns.  The attack signal is evaluated
+    before the first step: a value of the wrong length, or a ``ValueError``
+    or ``ArithmeticError`` it raises, is a ConfigurationError naming the step.
+    """
+    designs = build_designs(config)
     subsystems = config.subsystems
     topology = config.topology
     nodes = tuple(sorted(subsystems))
@@ -720,7 +719,6 @@ def _simulate(
     # inbound[i, j]: node j's alarm is a witness for node i
     inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
     witnessed = inbound.any(axis=1)
-    threshold = np.array([thresholds.get(i, math.inf) for i in nodes])
     # the node each entry of a stacked n-vector belongs to, by position
     entry_node = np.repeat(np.arange(n_nodes), n_sizes)
 
@@ -728,6 +726,9 @@ def _simulate(
     Es, G = maps.Es, maps.G
     dim = M.shape[0]
     xs, cs = slice(0, n_total), slice(2 * n_total, 3 * n_total)
+    s = np.concatenate([subsystems[i].x0 for i in nodes] + [np.zeros(dim - n_total)])
+    thresholds, arm_step = _resolve_thresholds(config, nodes, M, Es, s, n_starts)
+    threshold = np.array(list(thresholds.values()))
 
     attack = config.attack
     window = math.inf  # no accommodation update without an attack
@@ -814,7 +815,6 @@ def _simulate(
         return table
 
     armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
-    s = np.concatenate([subsystems[i].x0 for i in nodes] + [np.zeros(dim - n_total)])
     err_prev = None
     fill = 0
     for k in range(horizon):
@@ -878,7 +878,7 @@ def _simulate(
         nodes=nodes,
         table=table,
         columns=columns,
-        thresholds={i: thresholds.get(i, math.inf) for i in nodes},
+        thresholds=thresholds,
         arm_step=arm_step,
         decision_steps={i: (k if k >= 0 else None) for i, k in zip(nodes, decided_step.tolist())},
         designs=designs,

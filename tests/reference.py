@@ -1,6 +1,6 @@
 """The closed loop node by node: the oracle the stacked runner is held to.
 
-``covacc.scenario._simulate`` advances the whole network as one augmented
+``covacc.scenario.run`` advances the whole network as one augmented
 state under one transition matrix.  This module computes the same tick one
 node at a time, from per-node step functions: the plant and the covert
 injector, the two observers, the alarm and unanimity rule, the target's
@@ -350,7 +350,7 @@ def reference_loop(config, designs, thresholds, arm_step):
 
 def blind(config):
     """``config`` with every threshold infinite: no alarm rises, no node decides."""
-    policy = ThresholdPolicy(mode="explicit", values=dict.fromkeys(config.subsystems, math.inf))
+    policy = ThresholdPolicy(values=dict.fromkeys(config.subsystems, math.inf))
     return dataclasses.replace(config, thresholds=policy, arm_step=None)
 
 
@@ -358,7 +358,7 @@ def reference_run(config):
     """``run`` rebuilt on ``reference_loop``: (series, thresholds, arm_step, decision_steps)."""
     designs = build_designs(config)
     policy = config.thresholds
-    if policy.mode == "explicit":
+    if policy.values is not None:
         thresholds = dict(policy.values)
         arm_step = config.arm_step if config.arm_step is not None else 0
     else:

@@ -68,7 +68,7 @@ class TestValidate:
         assert main(["validate", "--scenario", "five_node_fullrank"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("ok: five_node_fullrank")
-        assert "5 nodes" in out and "horizon 100" in out
+        assert "5 nodes" in out and "horizon 100" in out and "thresholds calibrate" in out
         assert "attack on node 3 at step 20" in out
 
     def test_broken_config_exits_2(self, capsys, tmp_path):

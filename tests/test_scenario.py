@@ -15,12 +15,13 @@ import pytest
 from covacc import (
     ConfigurationError,
     ProtocolError,
-    build_designs,
+    ThresholdPolicy,
     calibrate_thresholds,
     load_scenario,
     run,
+    scenario,
 )
-from covacc.scenario import _resolve_thresholds, _simulate
+from covacc.cli import main
 
 from reference import SCALAR_FIELDS, VECTOR_FIELDS, blind, csv_writer_oracle, reference_run
 
@@ -113,7 +114,7 @@ class TestLoadScenario:
         assert topo.inbound(5) == (4,)
         assert cfg.attack.target == 3
         assert cfg.attack.onset == 20
-        assert cfg.thresholds.mode == "calibrate"
+        assert cfg.thresholds.values is None
 
     def test_bundled_scenarios_differ_only_in_coupling(self, fullrank_config, lowrank_config):
         full_block = fullrank_config.topology.coupling[(1, 3)]
@@ -323,27 +324,43 @@ class TestDetectOff:
 class TestRehearsal:
     """The calibration rehearsal stops at the window end without changing a threshold."""
 
-    @pytest.mark.parametrize("name", ["fullrank", "lowrank", "grid0"])
+    @pytest.mark.filterwarnings("ignore:.*directed topology:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["fullrank", "lowrank", "grid0", "lowrank_window45"])
     def test_thresholds_match_full_horizon_rehearsal(self, request, name):
         if name == "grid0":
             config = load_scenario(grid_doc(0))
+        elif name == "lowrank_window45":
+            # the one case whose rehearsal runs past the onset (20): thresholds
+            # read off the attacked states would differ
+            doc = bundled_doc("five_node_lowrank")
+            doc["thresholds"]["window"] = [10, 45]
+            config = load_scenario(doc)
         else:
             config = request.getfixturevalue(f"{name}_config")
         policy = config.thresholds
         assert policy.window[1] < config.horizon
-        designs = build_designs(config)
         with warnings.catch_warnings():
             # a rehearsal cut short of the window end would warn here
             warnings.simplefilter("error")
-            values, arm = _resolve_thresholds(config, designs)
-        full = _simulate(dataclasses.replace(config, attack=None), designs, {}, 0)
+            trace = run(config)
+        full = run(blind(dataclasses.replace(config, attack=None)))
         assert full.horizon == config.horizon
         want = calibrate_thresholds(
             {i: full.series(i, "resid_coop") for i in full.nodes},
             factor=policy.factor, floor=policy.floor, window=policy.window,
         )
-        assert values == want
-        assert arm == policy.window[1]
+        assert trace.thresholds == want
+        assert trace.arm_step == policy.window[1]
+        if name == "lowrank_window45":
+            assert trace.decision_steps[config.attack.target] == 45
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_one_operator_per_run(self, monkeypatch, fullrank_config, explicit):
+        calls = []
+        build = scenario._operator
+        monkeypatch.setattr(scenario, "_operator", lambda *args: calls.append(args) or build(*args))
+        run(blind(fullrank_config) if explicit else fullrank_config)
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_onset_zero_gives_floor_thresholds(self):
@@ -365,6 +382,32 @@ class TestRehearsal:
         assert trace.arm_step == 40
 
 
+class TestThresholdPolicy:
+    """A policy is explicit exactly when it holds values, and then names every node."""
+
+    def test_infinite_values_are_explicit(self, fullrank_config):
+        policy = ThresholdPolicy(values=dict.fromkeys(fullrank_config.subsystems, math.inf))
+        trace = run(dataclasses.replace(fullrank_config, thresholds=policy))
+        assert trace.thresholds == dict.fromkeys(trace.nodes, math.inf)
+        assert trace.arm_step == 0
+        assert set(trace.decision_steps.values()) == {None}
+
+    @pytest.mark.parametrize("mode", ["explicit", "Explicit"])
+    def test_mode_is_not_a_field(self, mode):
+        with pytest.raises(TypeError):
+            ThresholdPolicy(mode=mode)
+
+    def test_values_missing_a_node_are_refused(self, fullrank_config):
+        policy = ThresholdPolicy(values={i: 1.0 for i in fullrank_config.subsystems if i != 2})
+        with pytest.raises(ConfigurationError, match=r"^thresholds\.values: missing nodes \[2\]$"):
+            run(dataclasses.replace(fullrank_config, thresholds=policy))
+
+    def test_explicit_thresholds_keep_node_order(self, fullrank_config):
+        values = {i: 10.0 + i for i in sorted(fullrank_config.subsystems, reverse=True)}
+        trace = run(dataclasses.replace(fullrank_config, thresholds=ThresholdPolicy(values=values)))
+        assert list(trace.thresholds.items()) == [(i, 10.0 + i) for i in trace.nodes]
+
+
 class TestNonFinite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("detect", [True, False])
@@ -378,6 +421,18 @@ class TestNonFinite:
             config = blind(config)
         with pytest.raises(ProtocolError, match="non-finite resid_loc on node 1 at step 22"):
             run(config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_rehearsal_exits_4(self, capsys, tmp_path):
+        # node 1's first received-error norm overflows, so the rehearsal stops the run
+        doc = bundled_doc("five_node_fullrank")
+        assert doc["subsystems"][0]["index"] == 1
+        doc["subsystems"][0]["x0"] = [1e300, 1e300]
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "trace.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err == "runtime: non-finite resid_coop on node 1 at step 0; the run diverged\n"
 
     @pytest.mark.parametrize("name", ["fullrank", "lowrank"])
     def test_bundled_runs_stay_finite(self, request, name):
