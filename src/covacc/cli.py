@@ -24,7 +24,6 @@ from .scenario import (
     ScenarioConfig,
     ThresholdPolicy,
     build_designs,
-    default_calibration_window,
     load_scenario,
     run,
 )
@@ -51,18 +50,10 @@ def _load(token: str) -> ScenarioConfig:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "horizon", None) is not None:
-        if args.horizon < 1:
-            raise ConfigurationError(f"--horizon: must be at least 1, got {args.horizon}")
-        if config.attack is not None and config.attack.onset >= args.horizon:
-            raise ConfigurationError(
-                f"--horizon {args.horizon} does not leave room for the attack onset "
-                f"{config.attack.onset}"
-            )
+    if args.horizon is not None:
         config = replace(config, horizon=args.horizon)
-    if getattr(args, "calibrate", False) and config.thresholds.values is not None:
-        window = default_calibration_window(config.attack, config.horizon)
-        config = replace(config, thresholds=ThresholdPolicy(window=window))
+    if args.calibrate and config.thresholds.values is not None:
+        config = replace(config, thresholds=ThresholdPolicy())
     return config
 
 

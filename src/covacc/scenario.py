@@ -72,27 +72,95 @@ class ThresholdPolicy:
 
     Calibration rehearses the run without the attack and sets each node's
     threshold to ``factor`` times its worst received-error norm over
-    ``window``, plus ``floor`` (``detection.calibrate_thresholds``).
+    ``window``, plus ``floor`` (``detection.calibrate_thresholds``).  A
+    ``window`` of None takes the scenario's default (``ScenarioConfig``).
     """
 
     factor: float = 2.0
     floor: float = 1e-6
-    window: tuple = (10, 20)
+    window: tuple = None
     values: dict = None
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A whole scenario; ``__post_init__`` holds every check across fields.
+
+    ``load_scenario``, the constructor and ``dataclasses.replace`` all meet
+    it.  A policy without a window gets ``(min(10, hi), hi)``, where ``hi``
+    is the onset, or ``min(20, horizon)`` without an attack.
+    """
+
     name: str
-    horizon: int
-    control_radius: float
-    observer_radius: float
     subsystems: Mapping[int, Subsystem]
     topology: Topology
-    attack: AttackSpec
-    thresholds: ThresholdPolicy
+    horizon: int = 100
+    control_radius: float = 0.5
+    observer_radius: float = 0.5
+    attack: AttackSpec = None
+    thresholds: ThresholdPolicy = ThresholdPolicy()
     reconstruction_window: int = None
     arm_step: int = None
+
+    def __post_init__(self):
+        horizon, subsystems, attack = self.horizon, self.subsystems, self.attack
+        if not horizon >= 1:
+            raise ConfigurationError(f"horizon: must be at least 1, got {horizon}")
+        for label, value in (("control_spectral_radius", self.control_radius),
+                             ("observer_spectral_radius", self.observer_radius)):
+            if not 0.0 < value < 1.0:
+                raise ConfigurationError(f"{label}: must lie in (0, 1), got {value}")
+        n_nodes = self.topology.n_nodes
+        if set(subsystems) != set(range(1, n_nodes + 1)):
+            raise ConfigurationError(
+                f"subsystems: indices must be exactly 1..{n_nodes}, got {sorted(subsystems)}"
+            )
+        for (i, j), block in self.topology.coupling.items():
+            want = (subsystems[i].n, subsystems[j].n)
+            if block.shape != want:
+                raise ConfigurationError(
+                    f"topology.coupling[({i},{j})]: expected shape {want[0]}x{want[1]}, "
+                    f"got {block.shape[0]}x{block.shape[1]}"
+                )
+        if attack is not None:
+            if attack.target not in subsystems:
+                raise ConfigurationError(
+                    f"attack.target: node {attack.target} out of range 1..{n_nodes}"
+                )
+            if not attack.onset >= 0:
+                raise ConfigurationError(f"attack.onset: must be non-negative, got {attack.onset}")
+            if attack.onset >= horizon:
+                raise ConfigurationError(
+                    f"attack.onset: {attack.onset} does not precede the horizon {horizon}"
+                )
+        policy = self.thresholds
+        if not policy.factor > 0:
+            raise ConfigurationError("thresholds.factor: must be positive")
+        if not policy.floor >= 0:
+            raise ConfigurationError("thresholds.floor: must be non-negative")
+        if policy.window is None:
+            hi = attack.onset if attack is not None else min(20, horizon)
+            policy = replace(policy, window=(min(10, hi), hi))
+            object.__setattr__(self, "thresholds", policy)
+        lo, hi = policy.window
+        if not 0 <= lo <= hi:
+            raise ConfigurationError(f"thresholds.window: bad window [{lo},{hi})")
+        if policy.values is not None:
+            for i, value in policy.values.items():
+                if i not in subsystems:
+                    raise ConfigurationError(f"thresholds.values: node {i} out of range")
+                # inf is allowed: that node never alarms
+                if not value > 0:
+                    raise ConfigurationError(f"thresholds.values[{i}]: must be positive")
+            missing = sorted(set(subsystems) - set(policy.values))
+            if missing:
+                raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
+        if self.reconstruction_window is not None and not self.reconstruction_window >= 1:
+            raise ConfigurationError(
+                f"reconstruction_window: must be positive, got {self.reconstruction_window}"
+            )
+        if self.arm_step is not None and not self.arm_step >= 0:
+            raise ConfigurationError(f"arm_step: must be non-negative, got {self.arm_step}")
 
 
 def _signal_factory(desc: Mapping, m: int, onset: int, path: str) -> Callable[[int], np.ndarray]:
@@ -112,7 +180,7 @@ def _signal_factory(desc: Mapping, m: int, onset: int, path: str) -> Callable[[i
         if period <= 0:
             raise ConfigurationError(f"{path}.period: must be positive")
         phase = _number(desc.get("phase", 0.0), float, f"{path}.phase")
-        return lambda k: amplitude * math.sin(2.0 * math.pi * (k - onset) / period + phase)
+        return lambda k: amplitude * math.sin(math.tau * (k - onset) / period + phase)
     # table
     raw = desc.get("values")
     if not isinstance(raw, list) or not raw:
@@ -159,16 +227,12 @@ def _mapping(value, label: str) -> Mapping:
     return value
 
 
-def default_calibration_window(attack: AttackSpec, horizon: int) -> tuple:
-    """``(min(10, hi), hi)`` with ``hi`` the attack onset, else ``min(20, horizon)``."""
-    hi = attack.onset if attack is not None else min(20, horizon)
-    return min(10, hi), hi
-
-
 def load_scenario(source) -> ScenarioConfig:
-    """Load and validate a scenario from a JSON file or an equivalent mapping.
+    """Load a scenario from a JSON file or an equivalent mapping.
 
-    Every validation failure names the offending field.  Directed
+    The loader turns the document into typed fields and passes on only the
+    keys it holds, so the defaults are ``ScenarioConfig``'s and so are the
+    checks across fields.  Every failure names the offending field.  Directed
     topologies (an edge without its reverse) load fine but draw a warning,
     since most physical couplings come in pairs.
     """
@@ -189,18 +253,15 @@ def load_scenario(source) -> ScenarioConfig:
     if not isinstance(doc, Mapping):
         raise ConfigurationError("scenario document: expected a JSON object at top level")
 
-    name = str(doc.get("name", default_name))
-    horizon = _number(doc.get("horizon", 100), int, "horizon")
-    if horizon < 1:
-        raise ConfigurationError(f"horizon: must be at least 1, got {horizon}")
-    control_radius, observer_radius = (
-        _number(doc.get(label, 0.5), float, label)
-        for label in ("control_spectral_radius", "observer_spectral_radius")
-    )
-    for label, value in (("control_spectral_radius", control_radius),
-                         ("observer_spectral_radius", observer_radius)):
-        if not 0.0 < value < 1.0:
-            raise ConfigurationError(f"{label}: must lie in (0, 1), got {value}")
+    fields = {"name": str(doc.get("name", default_name))}
+    for key, label, kind in (("horizon", "horizon", int),
+                             ("control_radius", "control_spectral_radius", float),
+                             ("observer_radius", "observer_spectral_radius", float)):
+        if label in doc:
+            fields[key] = _number(doc[label], kind, label)
+    for key in ("reconstruction_window", "arm_step"):
+        if doc.get(key) is not None:
+            fields[key] = _number(doc[key], int, key)
 
     raw_subs = _require(doc, "subsystems", "scenario")
     if not isinstance(raw_subs, list) or not raw_subs:
@@ -219,11 +280,7 @@ def load_scenario(source) -> ScenarioConfig:
             C=_require(entry, "C", tag),
             x0=entry.get("x0"),
         )
-    n_nodes = len(subsystems)
-    if set(subsystems) != set(range(1, n_nodes + 1)):
-        raise ConfigurationError(
-            f"subsystems: indices must be exactly 1..{n_nodes}, got {sorted(subsystems)}"
-        )
+    fields["subsystems"] = subsystems
 
     raw_topo = _mapping(_require(doc, "topology", "scenario"), "topology")
     raw_nbrs = _mapping(_require(raw_topo, "neighbors", "topology"), "topology.neighbors")
@@ -249,98 +306,53 @@ def load_scenario(source) -> ScenarioConfig:
         i = _number(_require(entry, "i", tag), int, f"{tag}.i")
         j = _number(_require(entry, "j", tag), int, f"{tag}.j")
         coupling[(i, j)] = _require(entry, "matrix", tag)
-    topology = Topology(n_nodes=n_nodes, neighbors=neighbors, coupling=coupling)
-    for (i, j), block in topology.coupling.items():
-        want = (subsystems[i].n, subsystems[j].n)
-        if block.shape != want:
-            raise ConfigurationError(
-                f"topology.coupling[({i},{j})]: expected shape {want[0]}x{want[1]}, "
-                f"got {block.shape[0]}x{block.shape[1]}"
-            )
-    one_way = topology.one_way_pairs()
-    if one_way:
-        warnings.warn(
-            f"scenario {name!r}: directed topology, edges without a reverse edge: {one_way}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    fields["topology"] = Topology(n_nodes=len(subsystems), neighbors=neighbors, coupling=coupling)
 
-    attack = None
     raw_attack = doc.get("attack")
     if raw_attack is not None:
         _mapping(raw_attack, "attack")
         target = _number(_require(raw_attack, "target", "attack"), int, "attack.target")
-        if target not in subsystems:
-            raise ConfigurationError(f"attack.target: node {target} out of range 1..{n_nodes}")
         onset = _number(_require(raw_attack, "onset", "attack"), int, "attack.onset")
-        if onset < 0:
-            raise ConfigurationError(f"attack.onset: must be non-negative, got {onset}")
-        if onset >= horizon:
-            raise ConfigurationError(
-                f"attack.onset: {onset} does not precede the horizon {horizon}"
-            )
         raw_signal = _require(raw_attack, "signal", "attack")
-        signal = _signal_factory(raw_signal, subsystems[target].m, onset, "attack.signal")
-        attack = AttackSpec(target=target, onset=onset, signal=signal)
+        # a target that is no node has no input width; ScenarioConfig refuses it
+        victim = subsystems.get(target)
+        signal = None
+        if victim is not None:
+            signal = _signal_factory(raw_signal, victim.m, onset, "attack.signal")
+        fields["attack"] = AttackSpec(target=target, onset=onset, signal=signal)
 
-    raw_thresh = _mapping(doc.get("thresholds", {"mode": "calibrate"}), "thresholds")
+    raw_thresh = _mapping(doc.get("thresholds", {}), "thresholds")
     mode = raw_thresh.get("mode", "calibrate")
     if mode == "calibrate":
-        window = raw_thresh.get("window", default_calibration_window(attack, horizon))
-        if (not isinstance(window, (list, tuple))) or len(window) != 2:
-            raise ConfigurationError("thresholds.window: expected [start, end]")
-        lo, hi = (_number(v, int, "thresholds.window") for v in window)
-        if lo < 0 or hi < lo:
-            raise ConfigurationError(f"thresholds.window: bad window [{lo},{hi})")
-        thresholds = ThresholdPolicy(
-            factor=_number(raw_thresh.get("factor", 2.0), float, "thresholds.factor"),
-            floor=_number(raw_thresh.get("floor", 1e-6), float, "thresholds.floor"),
-            window=(lo, hi),
-        )
-        if thresholds.factor <= 0:
-            raise ConfigurationError("thresholds.factor: must be positive")
-        if thresholds.floor < 0:
-            raise ConfigurationError("thresholds.floor: must be non-negative")
+        policy = {}
+        if "window" in raw_thresh:
+            window = raw_thresh["window"]
+            if (not isinstance(window, (list, tuple))) or len(window) != 2:
+                raise ConfigurationError("thresholds.window: expected [start, end]")
+            policy["window"] = tuple(_number(v, int, "thresholds.window") for v in window)
+        for key in ("factor", "floor"):
+            if key in raw_thresh:
+                policy[key] = _number(raw_thresh[key], float, f"thresholds.{key}")
+        fields["thresholds"] = ThresholdPolicy(**policy)
     elif mode == "explicit":
         raw_values = _mapping(_require(raw_thresh, "values", "thresholds"), "thresholds.values")
         values = {}
         for key, val in raw_values.items():
             i = _number(key, int, "thresholds.values")
-            if i not in subsystems:
-                raise ConfigurationError(f"thresholds.values: node {i} out of range")
             values[i] = _number(val, float, f"thresholds.values[{i}]")
-            if values[i] <= 0:
-                raise ConfigurationError(f"thresholds.values[{i}]: must be positive")
-        missing = sorted(set(subsystems) - set(values))
-        if missing:
-            raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
-        thresholds = ThresholdPolicy(values=values)
+        fields["thresholds"] = ThresholdPolicy(values=values)
     else:
         raise ConfigurationError(f"thresholds.mode: expected 'calibrate' or 'explicit', got {mode!r}")
 
-    recon_window = doc.get("reconstruction_window")
-    if recon_window is not None:
-        recon_window = _number(recon_window, int, "reconstruction_window")
-        if recon_window < 1:
-            raise ConfigurationError(f"reconstruction_window: must be positive, got {recon_window}")
-    arm_step = doc.get("arm_step")
-    if arm_step is not None:
-        arm_step = _number(arm_step, int, "arm_step")
-        if arm_step < 0:
-            raise ConfigurationError(f"arm_step: must be non-negative, got {arm_step}")
-
-    return ScenarioConfig(
-        name=name,
-        horizon=horizon,
-        control_radius=control_radius,
-        observer_radius=observer_radius,
-        subsystems=subsystems,
-        topology=topology,
-        attack=attack,
-        thresholds=thresholds,
-        reconstruction_window=recon_window,
-        arm_step=arm_step,
-    )
+    config = ScenarioConfig(**fields)
+    one_way = config.topology.one_way_pairs()
+    if one_way:
+        warnings.warn(
+            f"scenario {config.name!r}: directed topology, edges without a reverse edge: {one_way}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return config
 
 
 @dataclass(frozen=True)
@@ -647,19 +659,15 @@ def _resolve_thresholds(
 ) -> tuple:
     """Thresholds in node order plus the arming step (0 by default if explicit).
 
-    An explicit policy must name every node.  A calibrated one rehearses
-    the run from ``s`` up to the window end (the run is causal, so later
-    steps cannot change what the window reads) on ``M``'s leading block,
-    over ``[x; z; xhat_coop]``.  That block is the attack-free loop: without
+    A calibrated policy rehearses the run from ``s`` up to the window end
+    (the run is causal, so later steps cannot change what the window reads)
+    on ``M``'s leading block, over ``[x; z; xhat_coop]``.  That block is the attack-free loop: without
     injection the replica stays at 0, and the accommodation rows feed
     nothing back.  A contiguous copy rounds each product as the attack-free
     operator does.  ``arm_step`` defaults to the window end.
     """
     policy = config.thresholds
     if policy.values is not None:
-        missing = sorted(set(nodes) - set(policy.values))
-        if missing:
-            raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
         arm = config.arm_step if config.arm_step is not None else 0
         return {i: policy.values[i] for i in nodes}, arm
     lead = slice(0, 3 * Es.shape[0])
@@ -721,7 +729,6 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     witnessed = inbound.any(axis=1)
     # the node each entry of a stacked n-vector belongs to, by position
     entry_node = np.repeat(np.arange(n_nodes), n_sizes)
-
     M, maps = _operator(config, designs, nodes, seg)
     Es, G = maps.Es, maps.G
     dim = M.shape[0]
@@ -737,10 +744,6 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         tpos = nodes.index(target)
         tn, tm = seg["n"][target], seg["m"][target]
         victim = subsystems[target]
-        if onset < 0:
-            raise ConfigurationError(
-                f"attacker on node {target}: onset must be non-negative, got {onset}"
-            )
         injection = np.zeros((horizon, victim.m))
         for k in range(onset, horizon):
             label = f"attacker signal at step {k}"

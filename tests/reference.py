@@ -362,7 +362,9 @@ def reference_run(config):
         thresholds = dict(policy.values)
         arm_step = config.arm_step if config.arm_step is not None else 0
     else:
-        quiet = dataclasses.replace(config, attack=None, horizon=min(config.horizon, policy.window[1]))
+        # a scenario has at least one step; an empty window reads none of them
+        horizon = max(1, min(config.horizon, policy.window[1]))
+        quiet = dataclasses.replace(config, attack=None, horizon=horizon)
         logs, _ = reference_loop(quiet, designs, {}, 0)
         thresholds = calibrate_thresholds(
             {i: logs[i]["resid_coop"] for i in logs},

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -16,6 +17,7 @@ from covacc import (
     ConfigurationError,
     ProtocolError,
     ThresholdPolicy,
+    Topology,
     calibrate_thresholds,
     load_scenario,
     run,
@@ -265,7 +267,7 @@ class TestAttackSignal:
 
     def test_negative_onset_rejected(self, fullrank_config):
         attack = dataclasses.replace(fullrank_config.attack, onset=-1)
-        with pytest.raises(ConfigurationError, match="onset must be non-negative, got -1"):
+        with pytest.raises(ConfigurationError, match=r"^attack\.onset: must be non-negative, got -1$"):
             run(dataclasses.replace(fullrank_config, attack=attack))
 
     def test_injection_log_follows_the_signal(self, fullrank_config):
@@ -380,6 +382,51 @@ class TestRehearsal:
         with pytest.warns(RuntimeWarning, match="exceeds the recorded 30 steps"):
             trace = run(config)
         assert trace.arm_step == 40
+
+
+def _wrong_shape_block(config):
+    topology = config.topology
+    coupling = {**topology.coupling, (1, 2): np.ones((1, 2))}
+    return {"topology": Topology(topology.n_nodes, topology.neighbors, coupling)}
+
+
+def _one_node_fewer(config):
+    return {"subsystems": {i: sub for i, sub in config.subsystems.items() if i != 5}}
+
+
+# (change to the bundled fullrank config, the field the error names)
+INVALID = {
+    "horizon_0": (lambda c: {"horizon": 0}, "horizon"),
+    "horizon_below_onset": (lambda c: {"horizon": 15}, "attack.onset"),
+    "arm_step_negative": (lambda c: {"arm_step": -3}, "arm_step"),
+    "reconstruction_window_0": (lambda c: {"reconstruction_window": 0}, "reconstruction_window"),
+    "observer_radius_1.5": (lambda c: {"observer_radius": 1.5}, "observer_spectral_radius"),
+    "factor_negative": (lambda c: {"thresholds": ThresholdPolicy(factor=-1)}, "thresholds.factor"),
+    "window_reversed": (lambda c: {"thresholds": ThresholdPolicy(window=(15, 5))}, "thresholds.window"),
+    "values_nan": (lambda c: {"thresholds": ThresholdPolicy(values=dict.fromkeys(c.subsystems, math.nan))},
+                   "thresholds.values[1]"),
+    "values_zero": (lambda c: {"thresholds": ThresholdPolicy(values=dict.fromkeys(c.subsystems, 0.0))},
+                    "thresholds.values[1]"),
+    "target_9": (lambda c: {"attack": dataclasses.replace(c.attack, target=9)}, "attack.target"),
+    "coupling_shape": (_wrong_shape_block, "topology.coupling[(1,2)]"),
+    "size_mismatch": (_one_node_fewer, "subsystems"),
+}
+
+
+class TestScenarioContract:
+    """``ScenarioConfig`` checks itself, so ``dataclasses.replace`` meets the loader's checks."""
+
+    @pytest.mark.parametrize("change, field", INVALID.values(), ids=INVALID.keys())
+    def test_replace_refuses_invalid_scenario(self, fullrank_config, change, field):
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(field)}: "):
+            dataclasses.replace(fullrank_config, **change(fullrank_config))
+
+    def test_default_window_follows_the_onset(self, fullrank_config):
+        attack = dataclasses.replace(fullrank_config.attack, onset=30)
+        config = dataclasses.replace(fullrank_config, attack=attack, thresholds=ThresholdPolicy())
+        assert config.thresholds.window == (10, 30)
+        config = dataclasses.replace(config, attack=None, horizon=12, thresholds=ThresholdPolicy())
+        assert config.thresholds.window == (10, 12)
 
 
 class TestThresholdPolicy:
