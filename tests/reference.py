@@ -3,12 +3,13 @@
 ``covacc.scenario.run`` advances the whole network as one augmented
 state under one transition matrix.  This module computes the same tick one
 node at a time, from per-node step functions: the plant and the covert
-injector, the two observers, the alarm and unanimity rule, the target's
-per-step accommodation (least squares, window inversion and kernel merge,
-which the runner folds into its operator), and the accommodated control
-law.  ``reference_run`` rebuilds ``covacc.run`` on that loop,
-``csv_writer_oracle`` writes a trace value by value through
-``csv.writer``, and ``blind`` turns a scenario's detection off.
+injector, the two observers, the alarm rule, the decision rule (unanimity
+and the payloads' fit), the target's per-step accommodation (least
+squares, window inversion and kernel merge, which the runner folds into
+its operator), and the accommodated control law.  ``reference_run``
+rebuilds ``covacc.run`` on that loop, ``csv_writer_oracle`` writes a trace
+value by value through ``csv.writer``, and ``blind`` turns a scenario's
+detection off.
 """
 
 from __future__ import annotations
@@ -174,6 +175,20 @@ def decide_attack(inbound: Mapping[int, AlarmSignal], neighbor_set: Sequence[int
     return True
 
 
+def payloads_fit(topology: Topology, node: int, state_dim: int,
+                 alarms: Mapping[int, AlarmSignal]) -> bool:
+    """Whether the sources' payloads are nonzero and fit the outbound stack to 1e-8 relative."""
+    sources = topology.sources(node)
+    if not sources:
+        return False
+    y = np.concatenate([alarms[j].payload for j in sources])
+    if not y.any():
+        return False
+    stack = topology.outbound_stack(node, state_dim)
+    fitted = stack @ np.linalg.lstsq(stack, y, rcond=None)[0]
+    return bool(np.linalg.norm(y - fitted) <= 1e-8 * np.linalg.norm(y))
+
+
 def accommodated_control(feedback_gain: np.ndarray, neighbor_gains: Mapping[int, np.ndarray],
                          xhat_loc: np.ndarray, replica_estimate: np.ndarray,
                          neighbor_estimates: Mapping[int, np.ndarray],
@@ -297,7 +312,8 @@ def reference_loop(config, designs, thresholds, arm_step):
         }
         # 4. decisions (latching)
         for i in nodes:
-            if decided[i] is None and decide_attack(alarms, topo.inbound(i)):
+            if (decided[i] is None and decide_attack(alarms, topo.inbound(i))
+                    and payloads_fit(topo, i, subs[i].n, alarms)):
                 decided[i] = k
         # 5. accommodation
         zero_n = {i: np.zeros(subs[i].n) for i in nodes}

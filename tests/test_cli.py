@@ -31,6 +31,18 @@ def broken_doc():
     }
 
 
+def four_node_doc(neighbors):
+    """Four equal nodes under ``neighbors``, node 3 attacked from step 20."""
+    sub = {"A": [[0.4, 0.2], [0.0, 0.3]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
+    return {
+        "name": "ambiguous",
+        "horizon": 60,
+        "subsystems": [dict(sub, index=i) for i in (1, 2, 3, 4)],
+        "topology": {"neighbors": neighbors, "coupling": {"default": [[0.1, 0.0], [0.0, -0.01]]}},
+        "attack": {"target": 3, "onset": 20, "signal": {"kind": "constant", "value": [1.0]}},
+    }
+
+
 # (path into the bundled fullrank document, malformed value)
 MALFORMED = {
     "nan_in_A": (("subsystems", 0, "A"), [[math.nan, 0.2], [0.0, 0.3]]),
@@ -203,19 +215,10 @@ class TestRun:
         assert "no nonzero row" in err
 
     def test_two_simultaneous_decisions_exit_4(self, capsys, tmp_path):
-        # nodes 3 and 4 share the watcher pair {1, 2}, so an attack on 3
-        # makes both decide on the same step and accommodation refuses
-        sub = {"A": [[0.4, 0.2], [0.0, 0.3]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
-        doc = {
-            "name": "ambiguous",
-            "horizon": 60,
-            "subsystems": [dict(sub, index=i) for i in (1, 2, 3, 4)],
-            "topology": {
-                "neighbors": {"1": [3], "2": [3], "3": [1, 2], "4": [1, 2]},
-                "coupling": {"default": [[0.1, 0.0], [0.0, -0.01]]},
-            },
-            "attack": {"target": 3, "onset": 20, "signal": {"kind": "constant", "value": [1.0]}},
-        }
+        # nodes 1 and 2 listen to 3 and 4 through equal blocks, so the
+        # payloads of an attack on 3 fit node 4 as well: both decide on the
+        # same step and accommodation refuses
+        doc = four_node_doc({"1": [3, 4], "2": [3, 4], "3": [1, 2], "4": [1, 2]})
         path = tmp_path / "ambiguous.json"
         path.write_text(json.dumps(doc))
         out_path = tmp_path / "trace.csv"
@@ -223,6 +226,16 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("runtime:")
         assert "superpose" in err
+
+    def test_twin_without_sources_does_not_decide(self, capsys, tmp_path):
+        # nodes 3 and 4 share the watcher pair {1, 2}, so both meet
+        # unanimity; nobody listens to node 4, so no payload fits it
+        doc = four_node_doc({"1": [3], "2": [3], "3": [1, 2], "4": [1, 2]})
+        path = tmp_path / "sourceless.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "trace.csv")]) == 0
+        decisions = [ln for ln in capsys.readouterr().out.splitlines() if "decided" in ln]
+        assert decisions == ["node 3 decided 'attacked' at step 22"]
 
     def test_calibrate_flag_overrides_explicit_thresholds(self, capsys, tmp_path):
         doc = {

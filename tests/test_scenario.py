@@ -93,6 +93,23 @@ def resuming_doc():
     return doc
 
 
+def corner_doc():
+    """The grid-corner shape: node 4's inbound pair {1, 2} lies inside the target 3's
+    inbound set {1, 2, 5}, and node 2 weighs node 3 twice as much as node 4."""
+    sub = {"A": [[0.4, 0.2], [0.0, 0.3]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0], [0.0, 1.0]]}
+    return {
+        "name": "corner",
+        "horizon": 60,
+        "subsystems": [dict(sub, index=i) for i in range(1, 6)],
+        "topology": {
+            "neighbors": {"1": [3, 4], "2": [3, 4], "3": [1, 2, 5], "4": [1, 2], "5": [3]},
+            "coupling": {"default": [[0.1, 0.0], [0.0, -0.01]],
+                         "edges": [{"i": 2, "j": 3, "matrix": [[0.2, 0.0], [0.0, -0.02]]}]},
+        },
+        "attack": {"target": 3, "onset": 20, "signal": {"kind": "constant", "value": [1.0]}},
+    }
+
+
 def grid_doc(seed):
     """The benchmark's seeded 10x10 grid scenario (``bench/gen_grid.py``)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "gen_grid.py"
@@ -429,6 +446,15 @@ class TestScenarioContract:
         assert config.thresholds.window == (10, 12)
 
 
+class TestIsolation:
+    """A node that meets unanimity decides only if its sources' payloads fit it."""
+
+    def test_inbound_subset_decides_on_the_target_only(self):
+        trace = run(load_scenario(corner_doc()))
+        assert trace.decision_steps == {1: None, 2: None, 3: 22, 4: None, 5: None}
+        assert trace.series(3, "phase").max() == 2
+
+
 class TestThresholdPolicy:
     """A policy is explicit exactly when it holds values, and then names every node."""
 
@@ -493,7 +519,7 @@ class TestStackedRunner:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "case", ["fullrank", "lowrank", "lowrank_long", "lowrank_window4", "stopping", "resuming",
-                 "blind", "attack_free", "mixed", "mixed_explicit", "grid0"]
+                 "blind", "attack_free", "mixed", "mixed_explicit", "grid0", "corner"]
     )
     def test_matches_per_node_reference(self, request, case):
         if case.startswith("mixed"):
@@ -504,6 +530,9 @@ class TestStackedRunner:
             config = load_scenario(doc)
         elif case == "grid0":
             config = load_scenario(grid_doc(0))
+        elif case == "corner":
+            # node 4 meets unanimity with the target; only the fit tells them apart
+            config = load_scenario(corner_doc())
         elif case == "lowrank_long":
             # long enough for regrouped sums to drift if they were going to
             config = dataclasses.replace(request.getfixturevalue("lowrank_config"), horizon=2000)
