@@ -17,6 +17,7 @@ had been injected: local detection is impossible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,6 +42,22 @@ def _floats(value, label: str) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{label}: expected numbers: {exc}") from None
+
+
+def _number(value, kind: type, label: str):
+    """``kind(value)`` for a scenario field, or a ConfigurationError naming the field.
+
+    A fractional number for an ``int`` field is an error, not a truncation
+    (``100.0`` is fine), and so is a boolean.
+    """
+    try:
+        out = None if isinstance(value, bool) else kind(value)
+        finite = out is not None and math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):  # an int past the float range overflows
+        finite = False
+    if not finite or (isinstance(value, float) and out != value):
+        raise ConfigurationError(f"{label}: expected a finite {kind.__name__}, got {value!r}")
+    return out
 
 
 def _finite(arr: np.ndarray, label: str) -> np.ndarray:
@@ -124,12 +141,13 @@ class Topology:
             raise ConfigurationError(f"topology: n_nodes must be positive, got {self.n_nodes}")
         nodes = set(range(1, self.n_nodes + 1))
         neighbors = {}
-        for i in sorted(self.neighbors):
+        raw = {_number(i, int, "topology.neighbors"): nbrs for i, nbrs in self.neighbors.items()}
+        for i in sorted(raw):
             if i not in nodes:
                 raise ConfigurationError(f"topology.neighbors: node {i} out of range 1..{self.n_nodes}")
             seen = []
-            for j in self.neighbors[i]:
-                j = int(j)
+            for j in raw[i]:
+                j = _number(j, int, f"topology.neighbors[{i}]")
                 if j not in nodes:
                     raise ConfigurationError(
                         f"topology.neighbors[{i}]: neighbor {j} out of range 1..{self.n_nodes}"
@@ -145,7 +163,7 @@ class Topology:
             raise ConfigurationError(f"topology.neighbors: missing entries for nodes {missing}")
         coupling = {}
         for key in self.coupling:
-            i, j = int(key[0]), int(key[1])
+            i, j = (_number(end, int, "topology.coupling") for end in key)
             if j not in neighbors.get(i, ()):
                 raise ConfigurationError(
                     f"topology.coupling[({i},{j})]: ({i},{j}) is not an edge of the neighbor sets"

@@ -11,12 +11,13 @@ Between alarm and decision events the closed loop is one linear system
 over all nodes, the target's accommodation included.  The runner keeps
 one augmented state for the whole network (plant, observers, cooperative
 estimates, the attacker's replica and the target's accommodation state)
-and advances it with one transition matrix per step.  Only the alarms
-and the decisions run per step as code, plus a count of the samples in
-the accommodation window; once the window is full, each step adds one
-fixed low-rank update.  The states are kept per step; after the loop
-each linear trace field is one product over all steps.  The tests hold
-the runner to a node-by-node oracle (``tests/reference.py``).
+and advances it with one transition matrix per step, built node by node
+from each node's design and its inbound edges.  Only the alarms and the
+decisions run per step as code, plus a count of the samples in the
+accommodation window; once the window is full, each step adds one fixed
+low-rank update.  The states are kept per step; after the loop each
+linear trace field is one product over all steps.  The tests hold the
+runner to a node-by-node oracle (``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -51,7 +52,7 @@ from .accommodation import (
 )
 from .detection import calibrate_thresholds
 from .errors import ConfigurationError, ProtocolError, SynthesisError
-from .model import Subsystem, Topology, _finite, _vector
+from .model import Subsystem, Topology, _finite, _number, _vector
 from .numerics import observer_gain, pseudo_inverse, stabilizing_gain
 from .observers import UioDesign, design_uio
 
@@ -62,6 +63,15 @@ _SIGNAL_KINDS = ("constant", "sinusoid", "table")
 # exact up to rounding (at most 3.2e-15), while a node that only shares the
 # target's inbound alarms misses by at least 6.5e-3.
 _FIT_RTOL = 1e-8
+
+# (field, scenario key, type) of the number fields; the last two may be None
+_NUMBER_FIELDS = (
+    ("horizon", "horizon", int),
+    ("control_radius", "control_spectral_radius", float),
+    ("observer_radius", "observer_spectral_radius", float),
+    ("reconstruction_window", "reconstruction_window", int),
+    ("arm_step", "arm_step", int),
+)
 
 
 @dataclass(frozen=True)
@@ -91,11 +101,13 @@ class ThresholdPolicy:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A whole scenario; ``__post_init__`` holds every check across fields.
+    """A whole scenario; ``__post_init__`` holds every check of its fields.
 
     ``load_scenario``, the constructor and ``dataclasses.replace`` all meet
-    it.  A policy without a window gets ``(min(10, hi), hi)``, where ``hi``
-    is the onset, or ``min(20, horizon)`` without an attack.
+    it.  Numbers are typed as the loader types them (``"30"`` and ``30.0``
+    are a horizon of 30) and stored so.  A policy without a window gets
+    ``(min(10, hi), hi)``, where ``hi`` is the onset, or
+    ``min(20, horizon)`` without an attack.
     """
 
     name: str
@@ -110,6 +122,10 @@ class ScenarioConfig:
     arm_step: int = None
 
     def __post_init__(self):
+        for key, label, kind in _NUMBER_FIELDS:
+            value = getattr(self, key)
+            if value is not None or key not in ("reconstruction_window", "arm_step"):
+                object.__setattr__(self, key, _number(value, kind, label))
         horizon, subsystems, attack = self.horizon, self.subsystems, self.attack
         if not horizon >= 1:
             raise ConfigurationError(f"horizon: must be at least 1, got {horizon}")
@@ -130,38 +146,49 @@ class ScenarioConfig:
                     f"got {block.shape[0]}x{block.shape[1]}"
                 )
         if attack is not None:
-            if attack.target not in subsystems:
-                raise ConfigurationError(
-                    f"attack.target: node {attack.target} out of range 1..{n_nodes}"
-                )
-            if not attack.onset >= 0:
-                raise ConfigurationError(f"attack.onset: must be non-negative, got {attack.onset}")
-            if attack.onset >= horizon:
-                raise ConfigurationError(
-                    f"attack.onset: {attack.onset} does not precede the horizon {horizon}"
-                )
+            target, onset = (_number(getattr(attack, key), int, f"attack.{key}")
+                             for key in ("target", "onset"))
+            if target not in subsystems:
+                raise ConfigurationError(f"attack.target: node {target} out of range 1..{n_nodes}")
+            if not onset >= 0:
+                raise ConfigurationError(f"attack.onset: must be non-negative, got {onset}")
+            if onset >= horizon:
+                raise ConfigurationError(f"attack.onset: {onset} does not precede the horizon {horizon}")
+            if not callable(attack.signal):
+                raise ConfigurationError(f"attack.signal: expected a callable, got {attack.signal!r}")
+            object.__setattr__(self, "attack", replace(attack, target=target, onset=onset))
         policy = self.thresholds
-        if not policy.factor > 0:
+        factor, floor = (_number(getattr(policy, key), float, f"thresholds.{key}")
+                         for key in ("factor", "floor"))
+        if not factor > 0:
             raise ConfigurationError("thresholds.factor: must be positive")
-        if not policy.floor >= 0:
+        if not floor >= 0:
             raise ConfigurationError("thresholds.floor: must be non-negative")
-        if policy.window is None:
-            hi = attack.onset if attack is not None else min(20, horizon)
-            policy = replace(policy, window=(min(10, hi), hi))
-            object.__setattr__(self, "thresholds", policy)
-        lo, hi = policy.window
+        window = policy.window
+        if window is None:
+            hi = onset if attack is not None else min(20, horizon)
+            window = (min(10, hi), hi)
+        elif not isinstance(window, (list, tuple)) or len(window) != 2:
+            raise ConfigurationError("thresholds.window: expected [start, end]")
+        lo, hi = (_number(v, int, "thresholds.window") for v in window)
         if not 0 <= lo <= hi:
             raise ConfigurationError(f"thresholds.window: bad window [{lo},{hi})")
-        if policy.values is not None:
-            for i, value in policy.values.items():
+        values = policy.values
+        if values is not None:
+            values = {}
+            for key, value in _mapping(policy.values, "thresholds.values").items():
+                i = _number(key, int, "thresholds.values")
                 if i not in subsystems:
                     raise ConfigurationError(f"thresholds.values: node {i} out of range")
                 # inf is allowed: that node never alarms
-                if not value > 0:
+                values[i] = value if value == math.inf else _number(value, float, f"thresholds.values[{i}]")
+                if not values[i] > 0:
                     raise ConfigurationError(f"thresholds.values[{i}]: must be positive")
-            missing = sorted(set(subsystems) - set(policy.values))
+            missing = sorted(set(subsystems) - set(values))
             if missing:
                 raise ConfigurationError(f"thresholds.values: missing nodes {missing}")
+        object.__setattr__(
+            self, "thresholds", replace(policy, factor=factor, floor=floor, window=(lo, hi), values=values))
         if self.reconstruction_window is not None and not self.reconstruction_window >= 1:
             raise ConfigurationError(
                 f"reconstruction_window: must be positive, got {self.reconstruction_window}"
@@ -213,21 +240,6 @@ def _require(doc: Mapping, key: str, path: str):
     return doc[key]
 
 
-def _number(value, kind: type, label: str):
-    """``kind(value)`` for a scenario field, or a ConfigurationError naming the field.
-
-    A fractional number for an ``int`` field is an error, not a truncation
-    (``100.0`` is fine), and so is a JSON boolean.
-    """
-    try:
-        out = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or not math.isfinite(out) or (isinstance(value, float) and out != value):
-        raise ConfigurationError(f"{label}: expected a finite {kind.__name__}, got {value!r}")
-    return out
-
-
 def _mapping(value, label: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigurationError(f"{label}: expected an object")
@@ -261,14 +273,9 @@ def load_scenario(source) -> ScenarioConfig:
         raise ConfigurationError("scenario document: expected a JSON object at top level")
 
     fields = {"name": str(doc.get("name", default_name))}
-    for key, label, kind in (("horizon", "horizon", int),
-                             ("control_radius", "control_spectral_radius", float),
-                             ("observer_radius", "observer_spectral_radius", float)):
+    for key, label, _ in _NUMBER_FIELDS:
         if label in doc:
-            fields[key] = _number(doc[label], kind, label)
-    for key in ("reconstruction_window", "arm_step"):
-        if doc.get(key) is not None:
-            fields[key] = _number(doc[key], int, key)
+            fields[key] = doc[label]
 
     raw_subs = _require(doc, "subsystems", "scenario")
     if not isinstance(raw_subs, list) or not raw_subs:
@@ -291,18 +298,16 @@ def load_scenario(source) -> ScenarioConfig:
 
     raw_topo = _mapping(_require(doc, "topology", "scenario"), "topology")
     raw_nbrs = _mapping(_require(raw_topo, "neighbors", "topology"), "topology.neighbors")
-    neighbors = {}
     for key, value in raw_nbrs.items():
-        i = _number(key, int, "topology.neighbors")
         if not isinstance(value, list):
             raise ConfigurationError(f"topology.neighbors[{key}]: expected a list")
-        neighbors[i] = tuple(_number(j, int, f"topology.neighbors[{key}]") for j in value)
     raw_coupling = _mapping(raw_topo.get("coupling", {}), "topology.coupling")
     default_block = raw_coupling.get("default")
-    # every edge gets the default block; Topology rejects a block on a
-    # non-edge and an edge left without one
+    # every edge gets the default block, under the document's node numbers;
+    # Topology types them, lets an edge's own block (added after) win, and
+    # rejects a block on a non-edge and an edge left without one
     coupling = {} if default_block is None else {
-        (i, j): default_block for i, nbrs in neighbors.items() for j in nbrs
+        (i, j): default_block for i, nbrs in raw_nbrs.items() for j in nbrs
     }
     edges = raw_coupling.get("edges", [])
     if not isinstance(edges, list):
@@ -313,7 +318,7 @@ def load_scenario(source) -> ScenarioConfig:
         i = _number(_require(entry, "i", tag), int, f"{tag}.i")
         j = _number(_require(entry, "j", tag), int, f"{tag}.j")
         coupling[(i, j)] = _require(entry, "matrix", tag)
-    fields["topology"] = Topology(n_nodes=len(subsystems), neighbors=neighbors, coupling=coupling)
+    fields["topology"] = Topology(n_nodes=len(subsystems), neighbors=raw_nbrs, coupling=coupling)
 
     raw_attack = doc.get("attack")
     if raw_attack is not None:
@@ -331,23 +336,10 @@ def load_scenario(source) -> ScenarioConfig:
     raw_thresh = _mapping(doc.get("thresholds", {}), "thresholds")
     mode = raw_thresh.get("mode", "calibrate")
     if mode == "calibrate":
-        policy = {}
-        if "window" in raw_thresh:
-            window = raw_thresh["window"]
-            if (not isinstance(window, (list, tuple))) or len(window) != 2:
-                raise ConfigurationError("thresholds.window: expected [start, end]")
-            policy["window"] = tuple(_number(v, int, "thresholds.window") for v in window)
-        for key in ("factor", "floor"):
-            if key in raw_thresh:
-                policy[key] = _number(raw_thresh[key], float, f"thresholds.{key}")
-        fields["thresholds"] = ThresholdPolicy(**policy)
+        fields["thresholds"] = ThresholdPolicy(
+            **{key: raw_thresh[key] for key in ("factor", "floor", "window") if key in raw_thresh})
     elif mode == "explicit":
-        raw_values = _mapping(_require(raw_thresh, "values", "thresholds"), "thresholds.values")
-        values = {}
-        for key, val in raw_values.items():
-            i = _number(key, int, "thresholds.values")
-            values[i] = _number(val, float, f"thresholds.values[{i}]")
-        fields["thresholds"] = ThresholdPolicy(values=values)
+        fields["thresholds"] = ThresholdPolicy(values=_require(raw_thresh, "values", "thresholds"))
     else:
         raise ConfigurationError(f"thresholds.mode: expected 'calibrate' or 'explicit', got {mode!r}")
 
@@ -507,15 +499,6 @@ class ScenarioTrace:
                 handle.write((step_format * steps) % tuple(cells))
 
 
-def _stacked(nodes: tuple, rows: Mapping, cols: Mapping, block: Callable) -> np.ndarray:
-    """Dense matrix holding ``block(i)[j]`` at row segment ``rows[i]``, column segment ``cols[j]``."""
-    out = np.zeros((rows[nodes[-1]].stop, cols[nodes[-1]].stop))
-    for i in nodes:
-        for j, mat in block(i).items():
-            out[rows[i], cols[j]] = mat
-    return out
-
-
 def _check_finite(rows: np.ndarray, columns: tuple, nodes: tuple) -> None:
     """Raise ProtocolError naming the first non-finite value in leading trace-table rows."""
     finite = np.isfinite(rows)
@@ -527,25 +510,29 @@ def _check_finite(rows: np.ndarray, columns: tuple, nodes: tuple) -> None:
 
 @dataclass(frozen=True)
 class _Maps:
-    """Maps of the augmented state ``s`` (see ``_operator``).
+    """The layout and maps of the augmented state ``s`` (see ``_operator``).
 
-    ``Es``, ``Ys``, ``XLs`` and ``Us`` give the received error, the masked
-    measurements, ``xhat_loc`` and the control before its accommodation
-    correction.  ``G`` and ``C`` are the block-diagonal cooperative
-    transition and output matrix.  With an attack (None without one),
-    ``inject`` holds the injection's input columns, and ``Ls``, ``Rs``,
-    ``Fs`` and ``Ps`` give the target's least-squares sample, recovered
-    input, advanced forward state and published estimate.  A step whose
-    window is full adds ``U @ (V @ s)``: the forward advance and the
-    control correction ``K_t xa_pub - inj_hat``, which is ``V[:m]``.
+    ``xs``, ``cs`` and ``rs`` slice ``x``, ``xhat_coop`` and the replica
+    out of ``s``.  ``Es``, ``Ys``, ``XLs`` and ``Us`` give the received
+    error, the masked measurements, ``xhat_loc`` and the control before its
+    accommodation correction.  ``G`` and ``C`` are the block-diagonal
+    cooperative transition and output matrix.  With an attack (None without
+    one), ``inject`` holds the injection's input columns, and ``Ls``,
+    ``Rs``, ``Fs`` and ``Ps`` give the target's least-squares sample,
+    recovered input, advanced forward state and published estimate.  A
+    step whose window is full adds ``U @ (V @ s)``: the forward advance and
+    the control correction ``K_t xa_pub - inj_hat``, which is ``V[:m]``.
     """
 
+    xs: slice
+    cs: slice
     Es: np.ndarray
     Ys: np.ndarray
     XLs: np.ndarray
     Us: np.ndarray
     G: np.ndarray
     C: np.ndarray
+    rs: slice = None
     inject: np.ndarray = None
     Ls: np.ndarray = None
     Rs: np.ndarray = None
@@ -556,91 +543,91 @@ class _Maps:
 
 
 def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) -> tuple:
-    """The augmented loop from block matrices over all nodes: ``(M, maps)``.
+    """The augmented loop, built node by node: ``(M, maps)``.
 
     ``s`` is ``[x; z; xhat_coop]`` stacked over all nodes; with an attack
     it goes on with the attacker's replica of the target, the target's
     sources' previous received error ``Es[src] s(k-1)``, a shift register
     of the last ``window`` least-squares samples (oldest first) and the
     forward state.  ``M`` advances ``s`` by one step with the forward state
-    held; ``maps`` holds the output maps and the attack's input and update
-    blocks (``_Maps``).  A block-diagonal factor is applied node by node
-    (``diagonal_times``) instead of as a dense matrix, which most of a
-    large network's products would spend on zeros.
+    held; ``maps`` holds the layout, the output maps and the attack's
+    input and update blocks (``_Maps``).
+
+    The build runs node by node.  A first pass writes each node's rows of
+    ``Ys``, ``XLs`` and ``G`` from its own model (``C`` is the ``x`` block
+    of ``Ys``); a second writes its rows of ``Us``, ``Es`` and ``M`` from
+    its own design and its inbound edges, since ``u`` and ``xhat_coop``
+    read the inbound neighbours' ``xhat_loc``.  A node's ``xhat_loc`` rows
+    are nonzero only in its own columns of ``s`` (and the replica's, at the
+    target), so each sum over neighbours adds disjoint columns and rounds
+    nothing.
     """
     subsystems, topology, attack = config.subsystems, config.topology, config.attack
-
-    def diagonal(rows, cols, block):
-        return _stacked(nodes, seg[rows], seg[cols], lambda i: {i: block(i)})
-
-    def diagonal_times(rows, cols, block, X):
-        """``diagonal(rows, cols, block) @ X`` without the dense diagonal."""
-        out = np.empty((seg[rows][nodes[-1]].stop, X.shape[1]))
-        for i in nodes:
-            out[seg[rows][i]] = block(i) @ X[seg[cols][i]]
-        return out
-
-    A = diagonal("n", "n", lambda i: subsystems[i].A)
-    C = diagonal("p", "n", lambda i: subsystems[i].C)
-    coupling = _stacked(
-        nodes, seg["n"], seg["n"],
-        lambda i: {j: topology.coupling[(i, j)] for j in topology.inbound(i)},
-    )
-    n_total, p_total = C.shape[1], C.shape[0]
+    sn, sm, sp = seg["n"], seg["m"], seg["p"]
+    n_total, p_total = sn[nodes[-1]].stop, sp[nodes[-1]].stop
     xs, zs, cs = (slice(b * n_total, (b + 1) * n_total) for b in range(3))
     dim = 3 * n_total
     if attack is not None:
         d = designs[attack.target]
         replica, window = subsystems[attack.target], d.recon.window
         # the sources' entries in a stacked n-vector, ascending like the estimator's
-        src = np.concatenate([np.arange(seg["n"][j].start, seg["n"][j].stop) for j in d.ls.sources])
+        src = np.concatenate([np.arange(sn[j].start, sn[j].stop) for j in d.ls.sources])
         rs = slice(dim, dim + replica.n)
         es = slice(rs.stop, rs.stop + src.size)
         ws = slice(es.stop, es.stop + window * replica.n)
         fs = slice(ws.stop, ws.stop + replica.n)
         dim = fs.stop
 
+    def part(block, i):
+        """Node i's entries in the ``x``, ``z`` or ``xhat_coop`` block of ``s``."""
+        return slice(block.start + sn[i].start, block.start + sn[i].stop)
+
     Ys = np.zeros((p_total, dim))  # y, the replica's output subtracted at the target
-    Ys[:, xs] = C
-    if attack is not None:
-        Ys[seg["p"][attack.target], rs] = -replica.C
-    XLs = diagonal_times("n", "p", lambda i: designs[i].uio.H, Ys)  # xhat_loc = z + H y
-    XLs[:, zs] += np.eye(n_total)
-    innovation = Ys.copy()  # y - C xhat_coop
-    innovation[:, cs] -= C
-    KN = diagonal("m", "n", lambda i: designs[i].feedback_gain)
-    KN += _stacked(nodes, seg["m"], seg["n"], lambda i: designs[i].neighbor_gains)
-    Us = KN @ XLs  # u = K xhat_loc + N xhat_loc, before the correction
+    XLs = np.empty((n_total, dim))  # xhat_loc = z + H y
+    G = np.zeros((n_total, n_total))
+    for i in nodes:
+        sub = subsystems[i]
+        Ys[sp[i], part(xs, i)] = sub.C
+        if attack is not None and i == attack.target:
+            Ys[sp[i], rs] = -replica.C
+        XLs[sn[i]] = designs[i].uio.H @ Ys[sp[i]]
+        XLs[sn[i], part(zs, i)] += np.eye(sub.n)
+        G[sn[i], sn[i]] = designs[i].coop_transition
 
-    def T_times(X):
-        return diagonal_times("n", "n", lambda i: designs[i].uio.T, X)
-
-    BU = diagonal_times("n", "m", lambda i: subsystems[i].B, Us)
+    Us, Es = np.empty((sm[nodes[-1]].stop, dim)), np.empty((n_total, dim))
     M = np.zeros((dim, dim))
-    M[xs] = BU  # x+ = A x + coupling x + B (u + injection)
-    M[xs, xs] += A + coupling
-    M[zs] = T_times(BU)  # z+ = F z + T B u + K_uio y
-    M[zs] += diagonal_times("n", "p", lambda i: designs[i].uio.K1 + designs[i].uio.K2, Ys)
-    M[zs, zs] += diagonal("n", "n", lambda i: designs[i].uio.F)
-    M[cs] = BU  # xhat_coop+ = A xhat_coop + B u + L innovation + coupling xhat_loc
-    M[cs] += diagonal_times("n", "p", lambda i: designs[i].coop_gain, innovation)
-    M[cs] += coupling @ XLs
-    M[cs, cs] += A
-    Es = diagonal_times("n", "p", lambda i: designs[i].C_pinv, innovation)
-    G = diagonal("n", "n", lambda i: designs[i].coop_transition)
-    maps = _Maps(Es=Es, Ys=Ys, XLs=XLs, Us=Us, G=G, C=C)
+    for i in nodes:
+        sub, design, uio = subsystems[i], designs[i], designs[i].uio
+        x, z, c = part(xs, i), part(zs, i), part(cs, i)
+        # u = K xhat_loc + N xhat_loc over the node and its inbound neighbours
+        gains = {i: design.feedback_gain, **design.neighbor_gains}
+        Us[sm[i]] = sum(gain @ XLs[sn[j]] for j, gain in gains.items())
+        BU = sub.B @ Us[sm[i]]
+        innovation = Ys[sp[i]].copy()  # y - C xhat_coop
+        innovation[:, c] -= sub.C
+        Es[sn[i]] = design.C_pinv @ innovation
+        M[x] = BU  # x+ = A x + coupling x + B (u + injection)
+        M[x, x] += sub.A
+        for j in topology.inbound(i):
+            M[x, part(xs, j)] += topology.coupling[(i, j)]
+        M[z] = uio.T @ BU  # z+ = F z + T B u + K_uio y
+        M[z] += (uio.K1 + uio.K2) @ Ys[sp[i]]
+        M[z, z] += uio.F
+        M[c] = BU  # xhat_coop+ = A xhat_coop + B u + L innovation + coupling xhat_loc
+        M[c] += design.coop_gain @ innovation
+        M[c] += sum(topology.coupling[(i, j)] @ XLs[sn[j]] for j in topology.inbound(i))
+        M[c, c] += sub.A
+    maps = _Maps(xs=xs, cs=cs, Es=Es, Ys=Ys, XLs=XLs, Us=Us, G=G, C=Ys[:, xs].copy())
     if attack is None:
         return M, maps
 
-    n, m = replica.n, replica.m
+    n, m, t = replica.n, replica.m, attack.target
     M[rs, rs] = replica.A  # replica+ = A_t replica + B_t injection
     B_t = np.zeros((dim, m))  # the target's input columns of x, z and xhat_coop
-    B_t[seg["n"][attack.target]] = replica.B
-    B_t[zs] = T_times(B_t[xs])
-    B_t[cs] = B_t[xs]
+    B_t[part(xs, t)] = B_t[part(cs, t)] = replica.B
+    B_t[part(zs, t)] = d.uio.T @ replica.B
     inject = np.zeros((dim, m))  # the injection reaches the plant and the replica only
-    inject[xs] = B_t[xs]
-    inject[rs] = replica.B
+    inject[part(xs, t)] = inject[rs] = replica.B
     # the sources' payload err(k) - G err(k-1), and its least-squares sample
     payload = Es[src]
     payload[:, es] -= G[np.ix_(src, src)]
@@ -658,27 +645,27 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
     Ps = proj.interacting_projector @ Ls + proj.kernel_projector @ Fs
     U = np.hstack([B_t, forward.T])
     V = np.vstack([d.feedback_gain @ Ps - Rs, Fs - forward])
-    return M, replace(maps, inject=inject, Ls=Ls, Rs=Rs, Fs=Fs, Ps=Ps, U=U, V=V)
+    return M, replace(maps, rs=rs, inject=inject, Ls=Ls, Rs=Rs, Fs=Fs, Ps=Ps, U=U, V=V)
 
 
 def _resolve_thresholds(
-    config: ScenarioConfig, nodes: tuple, M: np.ndarray, Es: np.ndarray, s: np.ndarray, n_starts: list
+    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: list
 ) -> tuple:
     """Thresholds in node order plus the arming step (0 by default if explicit).
 
     A calibrated policy rehearses the run from ``s`` up to the window end
     (the run is causal, so later steps cannot change what the window reads)
-    on ``M``'s leading block, over ``[x; z; xhat_coop]``.  That block is the attack-free loop: without
-    injection the replica stays at 0, and the accommodation rows feed
-    nothing back.  A contiguous copy rounds each product as the attack-free
+    on ``M``'s leading block, over ``[x; z; xhat_coop]``.  That block is
+    the attack-free loop: without injection the replica stays at 0, and the
+    accommodation rows feed nothing back.  A contiguous copy rounds each product as the attack-free
     operator does.  ``arm_step`` defaults to the window end.
     """
     policy = config.thresholds
     if policy.values is not None:
         arm = config.arm_step if config.arm_step is not None else 0
         return {i: policy.values[i] for i in nodes}, arm
-    lead = slice(0, 3 * Es.shape[0])
-    quiet_M, quiet_Es = np.ascontiguousarray(M[lead, lead]), np.ascontiguousarray(Es[:, lead])
+    lead = slice(maps.xs.start, maps.cs.stop)
+    quiet_M, quiet_Es = np.ascontiguousarray(M[lead, lead]), np.ascontiguousarray(maps.Es[:, lead])
     quiet = np.empty((min(config.horizon, policy.window[1]), quiet_M.shape[0]))
     s = s[lead]
     for k in range(len(quiet)):
@@ -730,10 +717,9 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         sizes = [getattr(subsystems[i], dim) for i in nodes]
         stops = np.cumsum(sizes).tolist()
         seg[dim] = {i: slice(stop - size, stop) for i, size, stop in zip(nodes, sizes, stops)}
-    n_sizes = [subsystems[i].n for i in nodes]
     n_starts = [seg["n"][i].start for i in nodes]
     p_starts = [seg["p"][i].start for i in nodes]
-    n_total = seg["n"][nodes[-1]].stop
+    n_sizes = [subsystems[i].n for i in nodes]
     # inbound[i, j]: node j's alarm is a witness for node i
     inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
     witnessed = inbound.any(axis=1)
@@ -746,10 +732,9 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
 
     M, maps = _operator(config, designs, nodes, seg)
     Es, G = maps.Es, maps.G
-    dim = M.shape[0]
-    xs, cs = slice(0, n_total), slice(2 * n_total, 3 * n_total)
-    s = np.concatenate([subsystems[i].x0 for i in nodes] + [np.zeros(dim - n_total)])
-    thresholds, arm_step = _resolve_thresholds(config, nodes, M, Es, s, n_starts)
+    s = np.zeros(M.shape[0])
+    s[maps.xs] = np.concatenate([subsystems[i].x0 for i in nodes])
+    thresholds, arm_step = _resolve_thresholds(config, nodes, M, maps, s, n_starts)
     threshold = np.array(list(thresholds.values()))
 
     attack = config.attack
@@ -767,13 +752,12 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigurationError(f"{label}: {exc}") from exc
             injection[k] = _vector(value, victim.m, label)
-        rs = slice(3 * n_total, 3 * n_total + victim.n)
         src_pos = [nodes.index(j) for j in designs[target].ls.sources]
         window = designs[target].recon.window
 
     # per-step logs of what the states do not give
-    states = np.empty((horizon, dim))
-    alarms = np.zeros((horizon, n_total))
+    states = np.empty((horizon, s.size))
+    alarms = np.zeros((horizon, len(Es)))
     alarm_on = np.zeros((horizon, n_nodes))
     decided_step = np.full(n_nodes, -1)
     n_decided = 0
@@ -798,9 +782,9 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         table[:, 1] = np.tile(nodes, steps)
         rows, past = table.reshape(steps, n_nodes * width), states[:steps]
         y, xhat_loc, u = past @ maps.Ys.T, past @ maps.XLs.T, past @ maps.Us.T
-        rows[:, dest["x"]] = past[:, xs]
+        rows[:, dest["x"]] = past[:, maps.xs]
         rows[:, dest["xhat_loc"]] = xhat_loc
-        rows[:, dest["xhat_coop"]] = past[:, cs]
+        rows[:, dest["xhat_coop"]] = past[:, maps.cs]
         rows[:, dest["ymeas"]] = y
         rows[:, dest["alarm"]] = alarms[:steps]
         rows[:, dest["resid_loc"]] = np.sqrt(
@@ -819,7 +803,7 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
 
             u[:, tm] += gated(ready, maps.V[:victim.m])
             for fieldname, block, where in (
-                ("xa", past[:, rs], tn), ("inj", injection[:steps], tm),
+                ("xa", past[:, maps.rs], tn), ("inj", injection[:steps], tm),
                 ("inj_hat", gated(ready, maps.Rs), tm), ("xa_ls", gated(sampled, maps.Ls), tn),
                 ("xa_pub", gated(ready, maps.Ps), tn), ("xa_fwd", gated(ready, maps.Fs), tn),
             ):

@@ -55,6 +55,9 @@ class TestTopology:
             Topology(2, {1: (2,), 2: ()}, {})
         with pytest.raises(ConfigurationError, match="not an edge"):
             Topology(2, {1: (), 2: ()}, {(1, 2): A})
+        # a neighbour is a node number, not truncated to one
+        with pytest.raises(ConfigurationError, match=r"^topology\.neighbors\[1\]: expected a finite int, got 2\.7"):
+            Topology(3, {1: (2.7,), 2: (), 3: ()}, {(1, 2): A})
 
     def test_sources_is_reverse_of_inbound(self):
         topo = five_node_topology(np.diag([0.1, -0.01]))

@@ -427,6 +427,15 @@ INVALID = {
     "target_9": (lambda c: {"attack": dataclasses.replace(c.attack, target=9)}, "attack.target"),
     "coupling_shape": (_wrong_shape_block, "topology.coupling[(1,2)]"),
     "size_mismatch": (_one_node_fewer, "subsystems"),
+    # types, worded as the loader words them
+    "horizon_fractional": (lambda c: {"horizon": 40.5}, "horizon"),
+    "horizon_past_float_range": (lambda c: {"horizon": 10**400}, "horizon"),
+    "arm_step_fractional": (lambda c: {"arm_step": 3.5}, "arm_step"),
+    "onset_fractional": (lambda c: {"attack": dataclasses.replace(c.attack, onset=20.5)}, "attack.onset"),
+    "signal_none": (lambda c: {"attack": dataclasses.replace(c.attack, signal=None)}, "attack.signal"),
+    "window_one_bound": (lambda c: {"thresholds": ThresholdPolicy(window=(5,))}, "thresholds.window"),
+    "values_strings": (lambda c: {"thresholds": ThresholdPolicy(values=dict.fromkeys(c.subsystems, "high"))},
+                       "thresholds.values[1]"),
 }
 
 
@@ -444,6 +453,14 @@ class TestScenarioContract:
         assert config.thresholds.window == (10, 30)
         config = dataclasses.replace(config, attack=None, horizon=12, thresholds=ThresholdPolicy())
         assert config.thresholds.window == (10, 12)
+
+    def test_integral_numbers_are_stored_typed(self, fullrank_config):
+        attack = dataclasses.replace(fullrank_config.attack, onset=20.0)
+        config = dataclasses.replace(fullrank_config, horizon=40.0, arm_step=22.0, attack=attack,
+                                     thresholds=ThresholdPolicy(factor=3, window=[5.0, 15]))
+        assert (config.horizon, config.arm_step, config.attack.onset) == (40, 22, 20)
+        assert all(type(v) is int for v in (config.horizon, config.arm_step, config.attack.onset))
+        assert config.thresholds.window == (5, 15) and type(config.thresholds.factor) is float
 
 
 class TestIsolation:
@@ -519,7 +536,7 @@ class TestStackedRunner:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "case", ["fullrank", "lowrank", "lowrank_long", "lowrank_window4", "stopping", "resuming",
-                 "blind", "attack_free", "mixed", "mixed_explicit", "grid0", "corner"]
+                 "blind", "attack_free", "mixed", "mixed_explicit", "leaf", "grid0", "corner"]
     )
     def test_matches_per_node_reference(self, request, case):
         if case.startswith("mixed"):
@@ -527,6 +544,14 @@ class TestStackedRunner:
             if case == "mixed_explicit":
                 # armed from step 0: node 1's first residual (0.71) is past its threshold
                 doc["thresholds"] = {"mode": "explicit", "values": {"1": 0.3, "2": 0.3, "3": 0.3}}
+            config = load_scenario(doc)
+        elif case == "leaf":
+            # node 3 has no inbound neighbour, so its sums over neighbours are empty;
+            # node 2 still decides (at step 23)
+            doc = mixed_doc()
+            doc["topology"]["neighbors"] = {"1": [2, 3], "2": [1], "3": []}
+            edges = doc["topology"]["coupling"]["edges"]
+            edges[:] = [e for e in edges if (e["i"], e["j"]) in {(1, 2), (1, 3), (2, 1)}]
             config = load_scenario(doc)
         elif case == "grid0":
             config = load_scenario(grid_doc(0))
