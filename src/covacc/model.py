@@ -92,7 +92,8 @@ class Subsystem:
     x0: np.ndarray = None
 
     def __post_init__(self):
-        tag = f"subsystem {self.index}"
+        index = _number(self.index, int, "subsystem.index")
+        tag = f"subsystem {index}"
         A = _matrix(self.A, f"{tag}.A")
         if A.shape[0] != A.shape[1] or A.shape[0] < 1:
             raise ConfigurationError(f"{tag}.A: expected square, got {A.shape}")
@@ -105,6 +106,7 @@ class Subsystem:
             raise ConfigurationError(f"{tag}.C: expected {n} columns, got {C.shape}")
         x0 = np.zeros(n) if self.x0 is None else _vector(self.x0, n, f"{tag}.x0")
         _finite(x0, f"{tag}.x0")
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -137,9 +139,11 @@ class Topology:
     coupling: Mapping[tuple, np.ndarray]
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ConfigurationError(f"topology: n_nodes must be positive, got {self.n_nodes}")
-        nodes = set(range(1, self.n_nodes + 1))
+        n_nodes = _number(self.n_nodes, int, "topology.n_nodes")
+        if n_nodes < 1:
+            raise ConfigurationError(f"topology: n_nodes must be positive, got {n_nodes}")
+        object.__setattr__(self, "n_nodes", n_nodes)
+        nodes = set(range(1, n_nodes + 1))
         neighbors = {}
         raw = {_number(i, int, "topology.neighbors"): nbrs for i, nbrs in self.neighbors.items()}
         for i in sorted(raw):

@@ -11,13 +11,17 @@ Between alarm and decision events the closed loop is one linear system
 over all nodes, the target's accommodation included.  The runner keeps
 one augmented state for the whole network (plant, observers, cooperative
 estimates, the attacker's replica and the target's accommodation state)
-and advances it with one transition matrix per step, built node by node
-from each node's design and its inbound edges.  Only the alarms and the
-decisions run per step as code, plus a count of the samples in the
-accommodation window; once the window is full, each step adds one fixed
-low-rank update.  The states are kept per step; after the loop each
-linear trace field is one product over all steps.  The tests hold the
-runner to a node-by-node oracle (``tests/reference.py``).
+and one transition matrix, built node by node from each node's design
+and its inbound edges.  The dynamics have two modes: once the
+accommodation window is full, each step adds one fixed low-rank update.
+The runner advances the state in blocks of steps, one product with the
+mode's stacked powers per block; the block is sized from the state's
+dimension (16 steps on the bundled scenarios, 1 on a 100-node grid).
+The block's alarms are arrays; only the decisions and the count of
+samples in the window run step by step, and the block is cut at the
+first step whose mode differs.  The states are kept per step; after the
+loop each linear trace field is one product over all steps.  The tests
+hold the runner to a node-by-node oracle (``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -27,7 +31,8 @@ Tick order (all quantities of step k before anything advances):
 4. detection decisions (latching): unanimity of the inbound alarms, and
    the sources' payloads fit the node's outbound stack
 5. accommodation: least squares, window inversion, forward model, all
-   rows of the operator; the step only counts the window's fill
+   rows of the operator; the step only counts the window's fill, which
+   sets the mode
 6. control laws
 7. injection applied, plant and replica advance, observers advance
 """
@@ -649,7 +654,7 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
 
 
 def _resolve_thresholds(
-    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: list
+    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: np.ndarray
 ) -> tuple:
     """Thresholds in node order plus the arming step (0 by default if explicit).
 
@@ -680,6 +685,48 @@ def _resolve_thresholds(
     return values, arm
 
 
+def _block_size(dim: int) -> int:
+    """Steps per lifted product: the largest power of two up to 64 whose ``b``
+    powers of a ``dim`` x ``dim`` operator hold at most 2**15 floats, else 1.
+
+    The two modes' stacks then take at most 512 KiB.  A larger operator
+    steps one step at a time: its product already dominates each step, and
+    a stack would add memory without saving arithmetic.
+    """
+    b = 64
+    while b > 1 and b * dim * dim > 2 ** 15:
+        b //= 2
+    return b
+
+
+def _lift(M: np.ndarray, update, inject, b: int) -> tuple:
+    """``(Phi, T, update)``: ``b`` steps of ``s+ = (M + U V) s + inject w`` in one product.
+
+    ``update`` is ``(U, V)``, or None for ``M`` alone; ``inject``, and so
+    ``T``, is None without an attack.  Row block i of ``Phi @ s + T @ w``
+    is ``s(k+i+1)``, for ``s = s(k)`` and ``w`` stacking ``w(k)`` to
+    ``w(k+b-1)``: ``Phi`` stacks the operator's powers 1 to b, and block
+    (i, j) of ``T`` is its power i - j times ``inject``.  The leading r row
+    blocks (and ``T``'s leading r column blocks) advance r steps.  At b = 1
+    nothing is stacked and ``M`` is not copied: the three come back as
+    given, and the step adds ``U @ (V @ s)`` itself.
+    """
+    if b == 1:
+        return M, inject, update
+    A = M if update is None else M + update[0] @ update[1]
+    powers = [A]
+    for _ in range(b - 1):
+        powers.append(A @ powers[-1])
+    if inject is None:
+        return np.vstack(powers), None, None
+    dim, m = inject.shape
+    drive = np.vstack([inject] + [power @ inject for power in powers[:-1]])
+    T = np.zeros((b * dim, b * m))
+    for j in range(b):
+        T[j * dim:, j * m:(j + 1) * m] = drive[:(b - j) * dim]
+    return np.vstack(powers), T, None
+
+
 def run(config: ScenarioConfig) -> ScenarioTrace:
     """Run a scenario end to end and return the trace.
 
@@ -690,16 +737,21 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     attack-free run on part of ``M`` (``_resolve_thresholds``).  A run
     without detection has explicit thresholds that are all ``math.inf``.
 
-    Each step does only the work whose result switches the dynamics: the
-    received errors ``Es @ s`` and the alarms once armed, the decisions
-    (unanimity, then the fit of the sources' payloads to the node's
-    outbound stack, through a projector built once per candidate), and
-    after the target's decision a count of the consecutive steps on which
-    every source's alarm is on.  Once that count passes the window the step
-    adds the fixed rank-(m + n) update ``U @ (V @ s)``.  After the loop
-    every linear trace field is one product over the stored states (gated
-    by the count for the accommodation fields), written into the table
-    under the CSV header's columns.  ``config`` checked itself when built;
+    The loop advances ``s`` a block of b steps at a time (``_block_size``,
+    from the size of ``s``) in one product with the mode's lifted maps
+    (``_lift``): the mode is whether the target's window is full, which
+    adds the fixed rank-(m + n) update ``U V``.  A block's received errors
+    are one product, and its loud flags, alarms and unanimity are arrays,
+    once armed.  Step by step in the block run only the decisions of the
+    rare unanimous steps (the fit of the sources' payloads to the node's
+    outbound stack, through a projector built once per candidate) and,
+    after the target's decision, the count of consecutive steps on which
+    every source's alarm is on.  The first step whose count switches the
+    mode cuts the block; the next starts from that step's state.  At
+    b = 1 a step makes the same products as a step-by-step loop.  After
+    the loop every linear trace field is one product over the stored
+    states (gated by the count for the accommodation fields), written into
+    the table under the CSV header's columns.  ``config`` checked itself when built;
     the attack signal is evaluated before the first step: a value of the
     wrong length, or a ``ValueError`` or ``ArithmeticError`` it raises, is
     a ConfigurationError naming the step.
@@ -717,8 +769,9 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         sizes = [getattr(subsystems[i], dim) for i in nodes]
         stops = np.cumsum(sizes).tolist()
         seg[dim] = {i: slice(stop - size, stop) for i, size, stop in zip(nodes, sizes, stops)}
-    n_starts = [seg["n"][i].start for i in nodes]
-    p_starts = [seg["p"][i].start for i in nodes]
+    # arrays, not lists: reduceat would convert a list on every call
+    n_starts = np.array([seg["n"][i].start for i in nodes])
+    p_starts = np.array([seg["p"][i].start for i in nodes])
     n_sizes = [subsystems[i].n for i in nodes]
     # inbound[i, j]: node j's alarm is a witness for node i
     inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
@@ -752,7 +805,7 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigurationError(f"{label}: {exc}") from exc
             injection[k] = _vector(value, victim.m, label)
-        src_pos = [nodes.index(j) for j in designs[target].ls.sources]
+        src_pos = np.array([nodes.index(j) for j in designs[target].ls.sources])
         window = designs[target].recon.window
 
     # per-step logs of what the states do not give
@@ -817,72 +870,119 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         return table
 
     armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
-    err_prev = None
+    dim = s.size
+    b = _block_size(dim)
+    lifted = {}  # mode -> _lift's (Phi, T, update), built on first use
+    # errs[0]: the received error of the step before the block, then the block's
+    errs = np.empty((b + 1, len(Es)))
+    states[0] = s
     fill = 0
-    for k in range(horizon):
-        states[k] = s
+    counting_from = horizon  # the window counts from the step after the target's decision
 
-        # 1-3. received errors and alarms.  A node is loud when its
-        # received-error norm is strictly above its threshold, from the arm
-        # step on and once two error samples exist.  A loud node's payload is
-        # the lagged aggregate err(k) - G err(k-1): what the coupling pushed
-        # into its received error at step k-1.  A quiet node sends zeros; an
-        # alarm is on when its payload is nonzero.
-        if k >= armed_from:
-            err = Es @ s
-            if err_prev is None:
-                err_prev = Es @ states[k - 1]
-            loud = np.sqrt(np.add.reduceat(err * err, n_starts)) > threshold
+    def advance(k: int, steps: int, mode: bool) -> np.ndarray:
+        """Fill and return ``states[k+1:k+1+steps]`` from ``states[k]``: one
+        product with the mode's lifted maps (``_lift``)."""
+        if mode not in lifted:
+            lifted[mode] = _lift(M, (maps.U, maps.V) if mode else None, maps.inject, b)
+        Phi, T, update = lifted[mode]
+        block = states[k + 1:k + 1 + steps]
+        flat = block.reshape(-1)
+        np.matmul(Phi[:steps * dim], states[k], out=flat)
+        if update is not None:
+            flat += update[0] @ (update[1] @ states[k])
+        if T is not None and k + steps > onset:
+            flat += T[:steps * dim, :steps * victim.m] @ injection[k:k + steps].ravel()
+        return block
+
+    # Step 0 has no events: nothing is armed before step 1, and the window
+    # counts only after a decision.  At the top of the loop, states[k] and
+    # the events of step k are done, and mode is step k's: whether the
+    # window is full, so that the advance adds U V.
+    k, mode = 0, False
+    while k < horizon - 1:
+        # 6-7. control, injection and advance over the next steps, right
+        # for as long as the mode holds
+        steps = min(b, horizon - 1 - k)
+        last = k + steps
+        block = advance(k, steps, mode)
+
+        # 1-3. received errors and alarms of steps k+1..last.  A node is
+        # loud when its received-error norm is strictly above its
+        # threshold, from the arm step on and once two error samples exist.
+        # A loud node's payload is the lagged aggregate err(k) - G err(k-1):
+        # what the coupling pushed into its received error at step k-1.  A
+        # quiet node sends zeros; an alarm is on when its payload is nonzero.
+        deciding = []
+        if last >= armed_from:
+            if k < armed_from:
+                np.matmul(Es, states[k], out=errs[0])
+            err = errs[1:steps + 1]
+            np.matmul(block, Es.T, out=err)
+            loud = np.sqrt(np.add.reduceat(err * err, n_starts, axis=1)) > threshold
+            if k + 1 < armed_from:
+                loud[:armed_from - k - 1] = False
             if loud.any():
-                alarm = np.where(loud[entry_node], err - G @ err_prev, 0.0)
-                active = np.logical_or.reduceat(alarm != 0, n_starts)
-                alarms[k] = alarm
-                alarm_on[k] = active
-                # 4. decisions, latching.  A node decides "attacked" when the
-                # alarm of every inbound neighbor is on and its sources'
-                # payloads, nonzero, fit its outbound stack: they could be
-                # its own state seen through that stack.  A node without
-                # inbound neighbors has no witnesses, and one without
-                # sources no payloads, so neither decides.
-                new = (decided_step < 0) & witnessed & ~(inbound & ~active).any(axis=1)
-                if new.any():
+                alarm = np.where(loud[:, entry_node], err - errs[:steps] @ G.T, 0.0)
+                active = np.logical_or.reduceat(alarm != 0, n_starts, axis=1)
+                alarms[k + 1:last + 1] = alarm
+                alarm_on[k + 1:last + 1] = active
+                # an undecided node is a candidate when the alarm of every
+                # inbound neighbour is on; one without inbound neighbours never is
+                candidate = witnessed & ~(~active @ inbound.T) & (decided_step < 0)
+                if candidate.any():
+                    deciding = np.flatnonzero(candidate.any(axis=1)).tolist()
+
+        # the decisions and the window's fill, step by step, up to the first
+        # step whose mode differs: the block's states are right up to there
+        cut = last
+        if deciding or last >= counting_from:
+            if attack is not None:
+                sources_on = alarm_on[k + 1:last + 1, src_pos].all(axis=1).tolist()
+            for row, j in enumerate(range(k + 1, last + 1)):
+                if row in deciding:
+                    # 4. decisions, latching.  A candidate decides
+                    # "attacked" when its sources' payloads, nonzero, fit
+                    # its outbound stack: they could be its own state seen
+                    # through that stack.  A node without sources has no
+                    # payloads, so it does not decide.
+                    new = candidate[row] & (decided_step < 0)
                     for pos in np.flatnonzero(new):
                         if pos not in fit:
                             stack = topology.outbound_stack(nodes[pos], n_sizes[pos])
                             fit[pos] = (np.flatnonzero(inbound[entry_node, pos]),
                                         np.eye(len(stack)) - stack @ pseudo_inverse(stack))
                         listen, misfit = fit[pos]
-                        y = alarm[listen]
+                        y = alarm[row, listen]
                         new[pos] = y.any() and (
                             np.linalg.norm(misfit @ y) <= _FIT_RTOL * np.linalg.norm(y))
-                    decided_step[new] = k
+                    decided_step[new] = j
                     n_decided = int(np.count_nonzero(decided_step >= 0))
-            err_prev = err
+                    if attack is not None and new[tpos]:
+                        counting_from = j + 1
+                # 5. accommodation on the target, from the step after its
+                # decision.  Its least squares, window inversion and forward
+                # model are rows of the operator; a quiet source empties the
+                # window.
+                if j >= counting_from:
+                    if n_decided > 1:
+                        _check_finite(log(j), columns, nodes)
+                        decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
+                        raise ProtocolError(
+                            f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
+                            "superpose and accommodation supports a single attacked node"
+                        )
+                    fill = fill + 1 if sources_on[row] else 0
+                    fills[j] = fill
+                    if (fill > window) != mode:
+                        cut, mode = j, fill > window
+                        break
+        if cut < last:  # the next block starts from step cut; undo the alarms after it
+            alarms[cut + 1:last + 1] = alarm_on[cut + 1:last + 1] = 0.0
+        if last >= armed_from:
+            errs[0] = errs[cut - k]
+        k = cut
 
-        # 5. accommodation on the target, from the step after its decision.
-        # Its least squares, window inversion and forward model are rows of
-        # the operator; a quiet source empties the window.
-        if attack is not None and 0 <= decided_step[tpos] < k:
-            if n_decided > 1:
-                _check_finite(log(k), columns, nodes)
-                decided_nodes = [nodes[pos] for pos in np.flatnonzero(decided_step >= 0)]
-                raise ProtocolError(
-                    f"nodes {decided_nodes} decided 'attacked'; the alarm payloads "
-                    "superpose and accommodation supports a single attacked node"
-                )
-            fill = fill + 1 if alarm_on[k, src_pos].all() else 0
-            fills[k] = fill
-
-        # 6-7. control, injection and advance; a full window adds the
-        # forward advance and the control correction
-        nxt = M @ s
-        if fill > window:
-            nxt += maps.U @ (maps.V @ s)
-        if attack is not None and k >= onset:
-            nxt += maps.inject @ injection[k]
-        s = nxt
-
-    del M  # the largest array; logging does not need it
+    del M, lifted  # the largest arrays; logging does not need them
     table = log(horizon)
     _check_finite(table, columns, nodes)
     table.flags.writeable = False

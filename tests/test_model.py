@@ -1,5 +1,7 @@
 """Plant, topology, and injector mechanics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,10 @@ class TestSubsystem:
         assert (sub.n, sub.m, sub.p) == (2, 1, 2)
         np.testing.assert_array_equal(sub.x0, np.zeros(2))
 
+    def test_fractional_index_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^subsystem\.index: expected a finite int, got 1\.5$"):
+            Subsystem(index=1.5, A=A, B=B, C=C2)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             Subsystem(index=1, A=A, B=np.zeros((3, 1)), C=C2)
@@ -58,6 +64,12 @@ class TestTopology:
         # a neighbour is a node number, not truncated to one
         with pytest.raises(ConfigurationError, match=r"^topology\.neighbors\[1\]: expected a finite int, got 2\.7"):
             Topology(3, {1: (2.7,), 2: (), 3: ()}, {(1, 2): A})
+
+    @pytest.mark.parametrize("n_nodes", [2.5, True], ids=["fractional", "boolean"])
+    def test_node_count_must_be_an_int(self, n_nodes):
+        message = rf"^topology\.n_nodes: expected a finite int, got {re.escape(repr(n_nodes))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            Topology(n_nodes, {1: (2,), 2: (1,)}, {(1, 2): A, (2, 1): A})
 
     def test_sources_is_reverse_of_inbound(self):
         topo = five_node_topology(np.diag([0.1, -0.01]))

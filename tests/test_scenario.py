@@ -530,6 +530,63 @@ class TestNonFinite:
         assert np.isfinite(trace.table).all()
 
 
+def oracle_config(request, case):
+    """The scenario of one oracle case of ``TestStackedRunner``."""
+    if case.startswith("mixed"):
+        doc = mixed_doc()
+        if case == "mixed_explicit":
+            # armed from step 0: node 1's first residual (0.71) is past its threshold
+            doc["thresholds"] = {"mode": "explicit", "values": {"1": 0.3, "2": 0.3, "3": 0.3}}
+        return load_scenario(doc)
+    if case == "leaf":
+        # node 3 has no inbound neighbour, so its sums over neighbours are empty;
+        # node 2 still decides (at step 23)
+        doc = mixed_doc()
+        doc["topology"]["neighbors"] = {"1": [2, 3], "2": [1], "3": []}
+        edges = doc["topology"]["coupling"]["edges"]
+        edges[:] = [e for e in edges if (e["i"], e["j"]) in {(1, 2), (1, 3), (2, 1)}]
+        return load_scenario(doc)
+    if case == "grid0":
+        return load_scenario(grid_doc(0))
+    if case == "corner":
+        # node 4 meets unanimity with the target; only the fit tells them apart
+        return load_scenario(corner_doc())
+    if case == "lowrank_long":
+        # long enough for regrouped sums to drift if they were going to
+        return dataclasses.replace(request.getfixturevalue("lowrank_config"), horizon=2000)
+    if case == "stopping":
+        return load_scenario(stopping_doc())
+    if case == "resuming":
+        # the window refills over stale samples while the forward state persists
+        return load_scenario(resuming_doc())
+    if case == "lowrank_window4":
+        # a register longer than n, loaded from the document with an explicit arm step
+        doc = bundled_doc("five_node_lowrank")
+        doc.update(reconstruction_window=4, arm_step=22)
+        config = load_scenario(doc)
+        assert (config.reconstruction_window, config.arm_step) == (4, 22)
+        return config
+    config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
+    if case == "attack_free":
+        return dataclasses.replace(config, attack=None)
+    if case == "blind":
+        return blind(config)
+    return config
+
+
+def assert_matches_reference(trace, config):
+    series, thresholds, arm_step, decided = reference_run(config)
+    assert trace.decision_steps == decided
+    assert trace.arm_step == arm_step
+    assert trace.thresholds == pytest.approx(thresholds, rel=0, abs=1e-12)
+    for i in trace.nodes:
+        for fieldname in VECTOR_FIELDS + SCALAR_FIELDS:
+            np.testing.assert_allclose(
+                trace.series(i, fieldname), series[i][fieldname], rtol=0, atol=1e-12,
+                err_msg=f"node {i}, {fieldname}",
+            )
+
+
 class TestStackedRunner:
     """The stacked tick against the per-node reference loop, to 1e-12."""
 
@@ -539,56 +596,48 @@ class TestStackedRunner:
                  "blind", "attack_free", "mixed", "mixed_explicit", "leaf", "grid0", "corner"]
     )
     def test_matches_per_node_reference(self, request, case):
-        if case.startswith("mixed"):
-            doc = mixed_doc()
-            if case == "mixed_explicit":
-                # armed from step 0: node 1's first residual (0.71) is past its threshold
-                doc["thresholds"] = {"mode": "explicit", "values": {"1": 0.3, "2": 0.3, "3": 0.3}}
+        config = oracle_config(request, case)
+        assert_matches_reference(run(config), config)
+
+
+class TestBlockAdvance:
+    """The loop advances in blocks cut at mode changes; the cuts must not show."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["resuming", "stopping", "lowrank_window4", "corner", "mixed_explicit"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_block_size_does_not_change_the_trace(self, request, monkeypatch, case, steps):
+        config = oracle_config(request, case)
+        default = run(config)
+        monkeypatch.setattr(scenario, "_block_size", lambda dim: steps)
+        cut = run(config)
+        assert cut.decision_steps == default.decision_steps
+        assert cut.thresholds == default.thresholds
+        np.testing.assert_allclose(cut.table, default.table, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_events_at_every_offset_in_a_block(self, monkeypatch):
+        # b + 1 consecutive onsets move the decision and the first step with
+        # a full window through every offset inside a block
+        block_size, dims = scenario._block_size, []
+        monkeypatch.setattr(scenario, "_block_size", lambda dim: dims.append(dim) or block_size(dim))
+        doc = bundled_doc("five_node_lowrank")
+        b = block_size(42)
+        decided, full = set(), set()
+        for onset in range(20, 21 + b):
+            doc["attack"]["onset"] = onset
             config = load_scenario(doc)
-        elif case == "leaf":
-            # node 3 has no inbound neighbour, so its sums over neighbours are empty;
-            # node 2 still decides (at step 23)
-            doc = mixed_doc()
-            doc["topology"]["neighbors"] = {"1": [2, 3], "2": [1], "3": []}
-            edges = doc["topology"]["coupling"]["edges"]
-            edges[:] = [e for e in edges if (e["i"], e["j"]) in {(1, 2), (1, 3), (2, 1)}]
-            config = load_scenario(doc)
-        elif case == "grid0":
-            config = load_scenario(grid_doc(0))
-        elif case == "corner":
-            # node 4 meets unanimity with the target; only the fit tells them apart
-            config = load_scenario(corner_doc())
-        elif case == "lowrank_long":
-            # long enough for regrouped sums to drift if they were going to
-            config = dataclasses.replace(request.getfixturevalue("lowrank_config"), horizon=2000)
-        elif case == "stopping":
-            config = load_scenario(stopping_doc())
-        elif case == "resuming":
-            # the window refills over stale samples while the forward state persists
-            config = load_scenario(resuming_doc())
-        elif case == "lowrank_window4":
-            # a register longer than n, loaded from the document with an explicit arm step
-            doc = bundled_doc("five_node_lowrank")
-            doc.update(reconstruction_window=4, arm_step=22)
-            config = load_scenario(doc)
-            assert (config.reconstruction_window, config.arm_step) == (4, 22)
-        else:
-            config = request.getfixturevalue(f"{'lowrank' if case == 'lowrank' else 'fullrank'}_config")
-            if case == "attack_free":
-                config = dataclasses.replace(config, attack=None)
-            elif case == "blind":
-                config = blind(config)
-        trace = run(config)
-        series, thresholds, arm_step, decided = reference_run(config)
-        assert trace.decision_steps == decided
-        assert trace.arm_step == arm_step
-        assert trace.thresholds == pytest.approx(thresholds, rel=0, abs=1e-12)
-        for i in trace.nodes:
-            for fieldname in VECTOR_FIELDS + SCALAR_FIELDS:
-                np.testing.assert_allclose(
-                    trace.series(i, fieldname), series[i][fieldname], rtol=0, atol=1e-12,
-                    err_msg=f"node {i}, {fieldname}",
-                )
+            trace = run(config)
+            assert_matches_reference(trace, config)
+            decided.add(trace.decision_steps[3] % b)
+            full.add(int(np.argmax(trace.series(3, "phase") == 2)) % b)
+        assert set(dims) == {42}
+        assert decided == full == set(range(b))
+
+    @pytest.mark.parametrize("dim, steps", [(42, 16), (616, 1)])
+    def test_block_size_follows_the_operator_size(self, dim, steps):
+        # the bundled scenarios' operator, and the 100-node grid's
+        assert scenario._block_size(dim) == steps
 
 
 class TestTraceFormat:
