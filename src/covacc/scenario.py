@@ -14,12 +14,13 @@ estimates, the attacker's replica and the target's accommodation state)
 and one transition matrix, built node by node from each node's design
 and its inbound edges.  The dynamics have two modes: once the
 accommodation window is full, each step adds one fixed low-rank update.
-The runner advances the state in blocks of steps, one product with the
-mode's stacked powers per block; the block is sized from the state's
-dimension (16 steps on the bundled scenarios, 1 on a 100-node grid).
-The block's alarms are arrays; only the decisions and the count of
-samples in the window run step by step, and the block is cut at the
-first step whose mode differs.  The states are kept per step; after the
+The runner advances the state in blocks of steps.  A small operator is
+lifted: one product with the mode's stacked powers per block (16 steps on
+the bundled scenarios).  One too large to lift (a 100-node grid) is
+stepped through its nonzeros one step at a time, in blocks of 64.  The
+block's alarms are arrays; only the decisions and the count of samples
+in the window run step by step, and the block is cut at the first step
+whose mode differs.  The states are kept per step; after the
 loop each linear trace field is one product over all steps.  The tests
 hold the runner to a node-by-node oracle (``tests/reference.py``).
 
@@ -654,7 +655,8 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
 
 
 def _resolve_thresholds(
-    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: np.ndarray
+    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: np.ndarray,
+    form: Callable,
 ) -> tuple:
     """Thresholds in node order plus the arming step (0 by default if explicit).
 
@@ -662,15 +664,17 @@ def _resolve_thresholds(
     (the run is causal, so later steps cannot change what the window reads)
     on ``M``'s leading block, over ``[x; z; xhat_coop]``.  That block is
     the attack-free loop: without injection the replica stays at 0, and the
-    accommodation rows feed nothing back.  A contiguous copy rounds each product as the attack-free
-    operator does.  ``arm_step`` defaults to the window end.
+    accommodation rows feed nothing back.  ``form`` stores the block and
+    its received-error map as the run stores ``M``: a contiguous copy, which
+    rounds each product as the attack-free operator does, or the nonzeros
+    (``_Nonzeros``).  ``arm_step`` defaults to the window end.
     """
     policy = config.thresholds
     if policy.values is not None:
         arm = config.arm_step if config.arm_step is not None else 0
         return {i: policy.values[i] for i in nodes}, arm
     lead = slice(maps.xs.start, maps.cs.stop)
-    quiet_M, quiet_Es = np.ascontiguousarray(M[lead, lead]), np.ascontiguousarray(maps.Es[:, lead])
+    quiet_M, quiet_Es = form(M[lead, lead]), form(maps.Es[:, lead])
     quiet = np.empty((min(config.horizon, policy.window[1]), quiet_M.shape[0]))
     s = s[lead]
     for k in range(len(quiet)):
@@ -685,46 +689,98 @@ def _resolve_thresholds(
     return values, arm
 
 
-def _block_size(dim: int) -> int:
-    """Steps per lifted product: the largest power of two up to 64 whose ``b``
-    powers of a ``dim`` x ``dim`` operator hold at most 2**15 floats, else 1.
+class _Nonzeros:
+    """A matrix's nonzeros row by row, for ``A @ s`` and ``X @ A.T``.
 
-    The two modes' stacks then take at most 512 KiB.  A larger operator
-    steps one step at a time: its product already dominates each step, and
-    a stack would add memory without saving arithmetic.
+    Built once from the nonzero mask: the column indices and values in row
+    order, the rows that have entries and where each row starts.  ``A @ s``
+    is ``np.add.reduceat(vals * s[cols], starts)`` scattered into those
+    rows; ``A.T`` is a handle good only for ``X @ A.T``, the same sums for
+    each row of ``X``.  A row's terms are summed in column order by numpy
+    alone, so ``A @ s`` and a row of ``s[None] @ A.T`` have the same bits,
+    whatever the BLAS thread count.  Empty rows come out 0.
+    """
+
+    def __init__(self, A: np.ndarray):
+        # a flat index over the mask: several times faster than np.nonzero(A)
+        rows, self.cols = np.divmod(np.flatnonzero(A != 0), A.shape[1])
+        self.vals = A[rows, self.cols]
+        self.rows, self.starts = np.unique(rows, return_index=True)
+        self.shape = A.shape
+
+    def __matmul__(self, s: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[0])
+        out[self.rows] = np.add.reduceat(self.vals * s[self.cols], self.starts)
+        return out
+
+    @property
+    def T(self) -> "_Transposed":
+        return _Transposed(self)
+
+
+@dataclass(frozen=True)
+class _Transposed:
+    """``A.T`` for a ``_Nonzeros`` ``A``: ``X @ A.T`` is ``A`` times each row of ``X``."""
+
+    A: _Nonzeros
+    __array_ufunc__ = None  # so that numpy hands ``X @ A.T`` to __rmatmul__
+
+    def __rmatmul__(self, X: np.ndarray) -> np.ndarray:
+        A = self.A
+        out = np.zeros((len(X), A.shape[0]))
+        out[:, A.rows] = np.add.reduceat(X[:, A.cols] * A.vals, A.starts, axis=1)
+        return out
+
+
+def _lifted(dim: int) -> bool:
+    """Whether a ``dim`` x ``dim`` operator is lifted: whether its first
+    two powers fit in 2**15 floats (dim <= 128).
+
+    A larger operator is stepped one step at a time through its nonzeros
+    (``_Nonzeros``): the network operator is block-sparse by construction
+    (1.1 % of the 100-node grid's entries are nonzero), and a stack of its
+    powers would be dense.
+    """
+    return 2 * dim * dim <= 2 ** 15
+
+
+def _block_size(dim: int) -> int:
+    """Steps per block: when lifted (``_lifted``), the largest power of two
+    up to 64 whose ``b`` powers of a ``dim`` x ``dim`` operator hold at most
+    2**15 floats, else 64.
+
+    The two modes' stacks then take at most 512 KiB.  A stepped block only
+    spaces the events: its received errors, loud flags and alarms are one
+    array pass per block instead of one per step.
     """
     b = 64
-    while b > 1 and b * dim * dim > 2 ** 15:
+    while _lifted(dim) and b * dim * dim > 2 ** 15:
         b //= 2
     return b
 
 
 def _lift(M: np.ndarray, update, inject, b: int) -> tuple:
-    """``(Phi, T, update)``: ``b`` steps of ``s+ = (M + U V) s + inject w`` in one product.
+    """``(Phi, T)``: ``b`` steps of ``s+ = (M + U V) s + inject w`` in one product.
 
     ``update`` is ``(U, V)``, or None for ``M`` alone; ``inject``, and so
     ``T``, is None without an attack.  Row block i of ``Phi @ s + T @ w``
     is ``s(k+i+1)``, for ``s = s(k)`` and ``w`` stacking ``w(k)`` to
     ``w(k+b-1)``: ``Phi`` stacks the operator's powers 1 to b, and block
     (i, j) of ``T`` is its power i - j times ``inject``.  The leading r row
-    blocks (and ``T``'s leading r column blocks) advance r steps.  At b = 1
-    nothing is stacked and ``M`` is not copied: the three come back as
-    given, and the step adds ``U @ (V @ s)`` itself.
+    blocks (and ``T``'s leading r column blocks) advance r steps.
     """
-    if b == 1:
-        return M, inject, update
     A = M if update is None else M + update[0] @ update[1]
     powers = [A]
     for _ in range(b - 1):
         powers.append(A @ powers[-1])
     if inject is None:
-        return np.vstack(powers), None, None
+        return np.vstack(powers), None
     dim, m = inject.shape
     drive = np.vstack([inject] + [power @ inject for power in powers[:-1]])
     T = np.zeros((b * dim, b * m))
     for j in range(b):
         T[j * dim:, j * m:(j + 1) * m] = drive[:(b - j) * dim]
-    return np.vstack(powers), T, None
+    return np.vstack(powers), T
 
 
 def run(config: ScenarioConfig) -> ScenarioTrace:
@@ -738,17 +794,21 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     without detection has explicit thresholds that are all ``math.inf``.
 
     The loop advances ``s`` a block of b steps at a time (``_block_size``,
-    from the size of ``s``) in one product with the mode's lifted maps
-    (``_lift``): the mode is whether the target's window is full, which
-    adds the fixed rank-(m + n) update ``U V``.  A block's received errors
+    from the size of ``s``).  The mode is whether the target's window is
+    full, which adds the fixed rank-(m + n) update ``U V``.  A small
+    operator advances a block in one product with the mode's lifted maps
+    (``_lift``).  One too large to lift (``_lifted``; the 100-node grid's)
+    steps through its nonzeros (``_Nonzeros``), one step at a time in the
+    order ``M s``, then ``U (V s)`` once the window is full, then the
+    injection; its dense ``M`` is dropped, and the rehearsal and the log
+    go through the nonzeros too.  A block's received errors
     are one product, and its loud flags, alarms and unanimity are arrays,
     once armed.  Step by step in the block run only the decisions of the
     rare unanimous steps (the fit of the sources' payloads to the node's
     outbound stack, through a projector built once per candidate) and,
     after the target's decision, the count of consecutive steps on which
     every source's alarm is on.  The first step whose count switches the
-    mode cuts the block; the next starts from that step's state.  At
-    b = 1 a step makes the same products as a step-by-step loop.  After
+    mode cuts the block; the next starts from that step's state.  After
     the loop every linear trace field is one product over the stored
     states (gated by the count for the accommodation fields), written into
     the table under the CSV header's columns.  ``config`` checked itself when built;
@@ -774,7 +834,10 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     p_starts = np.array([seg["p"][i].start for i in nodes])
     n_sizes = [subsystems[i].n for i in nodes]
     # inbound[i, j]: node j's alarm is a witness for node i
-    inbound = np.array([[j in topology.inbound(i) for j in nodes] for i in nodes])
+    position = {i: pos for pos, i in enumerate(nodes)}
+    inbound = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for pos, i in enumerate(nodes):
+        inbound[pos, [position[j] for j in topology.inbound(i)]] = True
     witnessed = inbound.any(axis=1)
     # the node each entry of a stacked n-vector belongs to, by position
     entry_node = np.repeat(np.arange(n_nodes), n_sizes)
@@ -784,17 +847,23 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     fit = {}
 
     M, maps = _operator(config, designs, nodes, seg)
-    Es, G = maps.Es, maps.G
-    s = np.zeros(M.shape[0])
+    dim = M.shape[0]
+    lifted = _lifted(dim)
+    s = np.zeros(dim)
     s[maps.xs] = np.concatenate([subsystems[i].x0 for i in nodes])
-    thresholds, arm_step = _resolve_thresholds(config, nodes, M, maps, s, n_starts)
+    thresholds, arm_step = _resolve_thresholds(
+        config, nodes, M, maps, s, n_starts, np.ascontiguousarray if lifted else _Nonzeros)
+    if not lifted:  # the nonzeros replace the dense M and the large maps
+        M = _Nonzeros(M)
+        maps = replace(maps, **{key: _Nonzeros(getattr(maps, key)) for key in ("Es", "Ys", "XLs", "Us")})
+    Es, G = maps.Es, maps.G
     threshold = np.array(list(thresholds.values()))
 
     attack = config.attack
     window = math.inf  # no accommodation update without an attack
     if attack is not None:
         target, onset = attack.target, attack.onset
-        tpos = nodes.index(target)
+        tpos = position[target]
         tn, tm = seg["n"][target], seg["m"][target]
         victim = subsystems[target]
         injection = np.zeros((horizon, victim.m))
@@ -805,12 +874,12 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
             except (ValueError, ArithmeticError) as exc:
                 raise ConfigurationError(f"{label}: {exc}") from exc
             injection[k] = _vector(value, victim.m, label)
-        src_pos = np.array([nodes.index(j) for j in designs[target].ls.sources])
+        src_pos = np.array([position[j] for j in designs[target].ls.sources])
         window = designs[target].recon.window
 
     # per-step logs of what the states do not give
     states = np.empty((horizon, s.size))
-    alarms = np.zeros((horizon, len(Es)))
+    alarms = np.zeros((horizon, Es.shape[0]))
     alarm_on = np.zeros((horizon, n_nodes))
     decided_step = np.full(n_nodes, -1)
     n_decided = 0
@@ -870,26 +939,33 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         return table
 
     armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
-    dim = s.size
     b = _block_size(dim)
-    lifted = {}  # mode -> _lift's (Phi, T, update), built on first use
+    stacks = {}  # mode -> _lift's (Phi, T), built on first use
     # errs[0]: the received error of the step before the block, then the block's
-    errs = np.empty((b + 1, len(Es)))
+    errs = np.empty((b + 1, Es.shape[0]))
     states[0] = s
     fill = 0
     counting_from = horizon  # the window counts from the step after the target's decision
 
     def advance(k: int, steps: int, mode: bool) -> np.ndarray:
         """Fill and return ``states[k+1:k+1+steps]`` from ``states[k]``: one
-        product with the mode's lifted maps (``_lift``)."""
-        if mode not in lifted:
-            lifted[mode] = _lift(M, (maps.U, maps.V) if mode else None, maps.inject, b)
-        Phi, T, update = lifted[mode]
+        product with the mode's lifted maps (``_lift``), or one step at a
+        time through the nonzeros."""
         block = states[k + 1:k + 1 + steps]
+        if not lifted:
+            for j in range(k, k + steps):
+                s = M @ states[j]
+                if mode:
+                    s += maps.U @ (maps.V @ states[j])
+                if maps.inject is not None and j >= onset:
+                    s += maps.inject @ injection[j]
+                states[j + 1] = s
+            return block
+        if mode not in stacks:
+            stacks[mode] = _lift(M, (maps.U, maps.V) if mode else None, maps.inject, b)
+        Phi, T = stacks[mode]
         flat = block.reshape(-1)
         np.matmul(Phi[:steps * dim], states[k], out=flat)
-        if update is not None:
-            flat += update[0] @ (update[1] @ states[k])
         if T is not None and k + steps > onset:
             flat += T[:steps * dim, :steps * victim.m] @ injection[k:k + steps].ravel()
         return block
@@ -915,9 +991,9 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         deciding = []
         if last >= armed_from:
             if k < armed_from:
-                np.matmul(Es, states[k], out=errs[0])
+                errs[0] = Es @ states[k]
             err = errs[1:steps + 1]
-            np.matmul(block, Es.T, out=err)
+            err[:] = block @ Es.T
             loud = np.sqrt(np.add.reduceat(err * err, n_starts, axis=1)) > threshold
             if k + 1 < armed_from:
                 loud[:armed_from - k - 1] = False
@@ -982,7 +1058,7 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
             errs[0] = errs[cut - k]
         k = cut
 
-    del M, lifted  # the largest arrays; logging does not need them
+    del M, stacks  # the largest arrays; logging does not need them
     table = log(horizon)
     _check_finite(table, columns, nodes)
     table.flags.writeable = False

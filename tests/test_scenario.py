@@ -2,10 +2,14 @@
 
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -13,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covacc
 from covacc import (
     ConfigurationError,
     ProtocolError,
@@ -618,9 +623,17 @@ class TestBlockAdvance:
         np.testing.assert_allclose(cut.table, default.table, rtol=0, atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_events_at_every_offset_in_a_block(self, monkeypatch):
-        # b + 1 consecutive onsets move the decision and the first step with
-        # a full window through every offset inside a block
+    @pytest.mark.parametrize("case", ["resuming", "stopping", "lowrank_window4", "corner", "mixed_explicit"])
+    def test_stepped_path_matches_reference(self, request, monkeypatch, case):
+        config = oracle_config(request, case)
+        force_stepped(monkeypatch)
+        assert_matches_reference(run(config), config)
+
+    @staticmethod
+    def onset_sweep(monkeypatch) -> tuple:
+        """``(b, decided, full)`` over b + 1 consecutive onsets on ``five_node_lowrank``,
+        each run held to the oracle: the offsets in a block of the decision and of
+        the first step with a full window.  Both come before the block's first cut."""
         block_size, dims = scenario._block_size, []
         monkeypatch.setattr(scenario, "_block_size", lambda dim: dims.append(dim) or block_size(dim))
         doc = bundled_doc("five_node_lowrank")
@@ -634,12 +647,106 @@ class TestBlockAdvance:
             decided.add(trace.decision_steps[3] % b)
             full.add(int(np.argmax(trace.series(3, "phase") == 2)) % b)
         assert set(dims) == {42}
+        return b, decided, full
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_events_at_every_offset_in_a_block(self, monkeypatch):
+        b, decided, full = self.onset_sweep(monkeypatch)
+        assert b == 16
         assert decided == full == set(range(b))
 
-    @pytest.mark.parametrize("dim, steps", [(42, 16), (616, 1)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_events_at_every_offset_in_a_stepped_block(self, monkeypatch):
+        force_stepped(monkeypatch)
+        b, decided, full = self.onset_sweep(monkeypatch)
+        assert b == 64
+        assert decided == full == set(range(b))
+
+    # the bundled scenarios' operator, the largest lifted one, the smallest
+    # stepped one, and the 100-node grid's
+    @pytest.mark.parametrize("dim, steps", [(42, 16), (128, 2), (129, 64), (616, 64)])
     def test_block_size_follows_the_operator_size(self, dim, steps):
-        # the bundled scenarios' operator, and the 100-node grid's
         assert scenario._block_size(dim) == steps
+        assert scenario._lifted(dim) == (dim <= 128)
+
+
+def force_stepped(monkeypatch):
+    """Send every operator, however small, through its nonzeros; a lift fails the test."""
+    def refuse(*args):
+        raise AssertionError("an operator was lifted")
+
+    monkeypatch.setattr(scenario, "_lifted", lambda dim: False)
+    monkeypatch.setattr(scenario, "_lift", refuse)
+
+
+class TestNonzeros:
+    """The stepped path's matrix of nonzeros against the dense products."""
+
+    @staticmethod
+    def matrix(case):
+        rng = np.random.default_rng(7)
+        if case == "empty_rows":
+            A = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.6)
+            A[[0, 3, 6]] = 0.0
+        elif case == "all_zero":
+            A = np.zeros((4, 6))
+        elif case == "single_row":
+            A = rng.standard_normal((1, 9))
+            A[0, [2, 5]] = 0.0
+        else:  # long rows, which numpy sums pairwise
+            A = rng.standard_normal((3, 300))
+        return A
+
+    @pytest.mark.parametrize("case", ["empty_rows", "all_zero", "single_row", "long_rows"])
+    def test_products_match_dense(self, case):
+        A = self.matrix(case)
+        nonzeros = scenario._Nonzeros(A)
+        rng = np.random.default_rng(8)
+        s, X = rng.standard_normal(A.shape[1]), rng.standard_normal((5, A.shape[1]))
+        assert (nonzeros @ s).shape == (A.shape[0],)
+        np.testing.assert_allclose(nonzeros @ s, A @ s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(X @ nonzeros.T, X @ A.T, rtol=0, atol=1e-12)
+        assert not (nonzeros @ s)[~A.any(axis=1)].any()
+
+    @pytest.mark.parametrize("case", ["empty_rows", "single_row", "long_rows"])
+    def test_vector_and_rows_round_alike(self, case):
+        # the loop carries errs[0] = Es @ s into a block whose errors are
+        # X @ Es.T: a different rounding would move an alarm payload at the edge
+        A = self.matrix(case)
+        nonzeros = scenario._Nonzeros(A)
+        X = np.random.default_rng(9).standard_normal((6, A.shape[1]))
+        assert np.array_equal((X[0][None] @ nonzeros.T)[0], nonzeros @ X[0])
+        assert np.array_equal(X @ nonzeros.T, np.array([nonzeros @ x for x in X]))
+
+
+class TestThreadInvariance:
+    """A stepped run's CSV bytes do not depend on the BLAS thread count."""
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+    @pytest.mark.parametrize("seed", [0, 20070275])
+    def test_grid_csv_same_at_one_and_two_blas_threads(self, tmp_path, seed):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc(seed)))
+        src = str(Path(covacc.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = []
+        for threads in (1, 2):  # both at once; the thread count is set in the child only
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=pythonpath)
+            command = [sys.executable, "-m", "covacc.cli", "run", "--scenario", str(path), "--out", str(out)]
+            children.append((out, subprocess.Popen(
+                command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)))
+        digests = []
+        try:
+            for out, child in children:
+                _, err = child.communicate(timeout=120)
+                assert child.returncode == 0, err
+                digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        finally:
+            for _, child in children:  # a child left by a failure ends with the test
+                child.kill()
+                child.wait()
+        assert digests[0] == digests[1]
 
 
 class TestSynthesisTraffic:
