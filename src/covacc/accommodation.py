@@ -98,7 +98,6 @@ class InputReconstructor:
     A: np.ndarray
     B: np.ndarray
     window: int
-    rel_degree: tuple
     output_delay: int
     input_offset: int
     readout: np.ndarray
@@ -252,7 +251,6 @@ def build_reconstructor(
         A=A.copy(),
         B=B.copy(),
         window=window,
-        rel_degree=tuple(degrees),
         output_delay=output_delay,
         input_offset=input_offset,
         readout=pseudo_inverse(solver)[input_offset:input_offset + m] @ lhs_map,

@@ -29,8 +29,8 @@ class UioDesign:
         z+       = F z + T B u + (K1 + K2) y_meas
         estimate = z + H y_meas
 
-    E stacks the inbound coupling blocks.  H reproduces E through the
-    measurement map (H C E = E), so T = I - H C annihilates every inbound
+    With E the inbound coupling blocks side by side, H reproduces E through
+    the measurement map (H C E = E), so T = I - H C annihilates every inbound
     coupling and the estimation error never sees the neighbors' states.
     K1 places the error dynamics F = T A - K1 C, and K2 = F H completes the
     measurement feedthrough.
@@ -41,7 +41,6 @@ class UioDesign:
     H: np.ndarray
     K1: np.ndarray
     K2: np.ndarray
-    E: np.ndarray
 
 
 def design_uio(
@@ -85,4 +84,4 @@ def design_uio(
         raise SynthesisError(
             f"node {subsystem.index}: unstable error dynamics, spectral radius {achieved:.6g}"
         )
-    return UioDesign(F=F, T=T, H=H, K1=K1, K2=K2, E=E)
+    return UioDesign(F=F, T=T, H=H, K1=K1, K2=K2)

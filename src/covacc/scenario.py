@@ -17,12 +17,14 @@ accommodation window is full, each step adds one fixed low-rank update.
 The runner advances the state in blocks of steps.  A small operator is
 lifted: one product with the mode's stacked powers per block (16 steps on
 the bundled scenarios).  One too large to lift (a 100-node grid) is
-stepped through its nonzeros one step at a time, in blocks of 64.  The
-block's alarms are arrays; only the decisions and the count of samples
-in the window run step by step, and the block is cut at the first step
-whose mode differs.  The states are kept per step; after the
-loop each linear trace field is one product over all steps.  The tests
-hold the runner to a node-by-node oracle (``tests/reference.py``).
+stepped through its nonzeros one step at a time, in blocks of 64.  Each
+block writes its states, received errors and their norms for the whole
+horizon, and three readers share them: the calibration rehearsal (the
+same stepper, attack-free, up to the window end), the block's alarms,
+which are arrays, and the log.  Only the decisions and the count of
+samples in the window run step by step, and the block is cut at the
+first step whose mode differs.  The tests hold the runner to a
+node-by-node oracle (``tests/reference.py``).
 
 Tick order (all quantities of step k before anything advances):
 
@@ -418,7 +420,7 @@ _VECTOR_FIELDS = {
     "xa_fwd": "n", "alarm": "n",
 }
 _SCALAR_FIELDS = ("resid_loc", "resid_coop", "alarm_on", "decided", "phase")
-_INT_COLUMNS = ("step", "node", "alarm_on", "decided", "phase")
+_INT_FIELDS = ("alarm_on", "decided", "phase")
 
 # Rows per write in ScenarioTrace.to_csv: enough to amortize the formatting
 # call, few enough that the text never weighs on peak memory.
@@ -439,12 +441,22 @@ def _column_names(subsystems: Mapping[int, Subsystem]) -> tuple:
     return tuple(names) + _SCALAR_FIELDS
 
 
-def _field_columns(columns: tuple, subsystem: Subsystem, fieldname: str):
-    """A field's table columns in one node's rows: a slice for a vector field, a column for a scalar."""
-    if fieldname in _VECTOR_FIELDS:
-        start = columns.index(f"{fieldname}1")
-        return slice(start, start + getattr(subsystem, _VECTOR_FIELDS[fieldname]))
-    return columns.index(fieldname)
+def _field_start(columns: tuple, fieldname: str) -> int:
+    """A field's first column in the trace table: ``x1`` for ``x``, the field itself for a scalar."""
+    return columns.index(f"{fieldname}1" if fieldname in _VECTOR_FIELDS else fieldname)
+
+
+def _field_cells(columns: tuple, subsystems: Mapping[int, Subsystem], nodes: tuple) -> dict:
+    """Each field's cells in one step's table rows, flattened, in the order of
+    the field's entries stacked over ``nodes`` (one entry per node for a scalar)."""
+    width = len(columns)
+    offsets = {None: np.arange(len(nodes)) * width}
+    for dim in "nmp":
+        sizes = [getattr(subsystems[i], dim) for i in nodes]
+        owner = np.repeat(np.arange(len(nodes)), sizes)
+        offsets[dim] = owner * width + np.arange(owner.size) - (np.cumsum(sizes) - sizes)[owner]
+    return {fieldname: offsets[_VECTOR_FIELDS.get(fieldname)] + _field_start(columns, fieldname)
+            for fieldname in (*_VECTOR_FIELDS, *_SCALAR_FIELDS)}
 
 
 @dataclass
@@ -467,11 +479,11 @@ class ScenarioTrace:
     thresholds: dict
     arm_step: int
     decision_steps: dict
-    designs: dict
     config: ScenarioConfig
 
     def series(self, node: int, fieldname: str) -> np.ndarray:
-        cols = _field_columns(self.columns, self.config.subsystems[node], fieldname)
+        start, dim = _field_start(self.columns, fieldname), _VECTOR_FIELDS.get(fieldname)
+        cols = slice(start, start + getattr(self.config.subsystems[node], dim)) if dim else start
         return self.table[self.nodes.index(node)::len(self.nodes), cols]
 
     def column_names(self) -> list:
@@ -482,20 +494,17 @@ class ScenarioTrace:
 
         Floats at 17 significant digits, step, node and the int fields as
         integers, an empty cell wherever a node's vector is shorter than the
-        widest, ``\\r\\n`` line ends.  Each node has one ``%``-format string
-        over its whole table row, in which a padding cell is ``%.0s``: it
-        takes its 0 and prints nothing.  The file is written a chunk of
-        steps at a time.
+        widest, ``\\r\\n`` line ends.  One ``%``-format string covers a
+        step's table rows, in which a padding cell is ``%.0s``: it takes its
+        0 and prints nothing.  The file is written a chunk of steps at a
+        time.
         """
-        n_nodes = len(self.nodes)
-        formats = []
-        for i in self.nodes:
-            cells = np.full(len(self.columns), "%.0s", dtype=object)
-            for fieldname in (*_VECTOR_FIELDS, *_SCALAR_FIELDS):
-                cells[_field_columns(self.columns, self.config.subsystems[i], fieldname)] = "%.17g"
-            cells[[self.columns.index(c) for c in _INT_COLUMNS]] = "%d"
-            formats.append(",".join(cells) + "\r\n")
-        step_format = "".join(formats)
+        n_nodes, width = len(self.nodes), len(self.columns)
+        cells = np.full(n_nodes * width, "%.0s", dtype=object)
+        for fieldname, where in _field_cells(self.columns, self.config.subsystems, self.nodes).items():
+            cells[where] = "%d" if fieldname in _INT_FIELDS else "%.17g"
+        cells[::width] = cells[1::width] = "%d"  # step and node
+        step_format = "".join(",".join(row) + "\r\n" for row in cells.reshape(n_nodes, width))
         chunk = max(1, _CSV_CHUNK_ROWS // n_nodes)
         with open(path, "w", newline="") as handle:
             handle.write(",".join(self.columns) + "\r\n")
@@ -654,33 +663,20 @@ def _operator(config: ScenarioConfig, designs: dict, nodes: tuple, seg: dict) ->
     return M, replace(maps, rs=rs, inject=inject, Ls=Ls, Rs=Rs, Fs=Fs, Ps=Ps, U=U, V=V)
 
 
-def _resolve_thresholds(
-    config: ScenarioConfig, nodes: tuple, M: np.ndarray, maps: _Maps, s: np.ndarray, n_starts: np.ndarray,
-    form: Callable,
-) -> tuple:
+def _resolve_thresholds(config: ScenarioConfig, nodes: tuple, rehearse: Callable) -> tuple:
     """Thresholds in node order plus the arming step (0 by default if explicit).
 
-    A calibrated policy rehearses the run from ``s`` up to the window end
-    (the run is causal, so later steps cannot change what the window reads)
-    on ``M``'s leading block, over ``[x; z; xhat_coop]``.  That block is
-    the attack-free loop: without injection the replica stays at 0, and the
-    accommodation rows feed nothing back.  ``form`` stores the block and
-    its received-error map as the run stores ``M``: a contiguous copy, which
-    rounds each product as the attack-free operator does, or the nonzeros
-    (``_Nonzeros``).  ``arm_step`` defaults to the window end.
+    A calibrated policy reads the rehearsal: ``rehearse(steps)`` gives the
+    per-node received-error norms of steps 0 to ``steps - 1`` of the run
+    without the attack, and the rehearsal stops at the window end (the run
+    is causal, so later steps cannot change what the window reads).
+    ``arm_step`` defaults to the window end.
     """
     policy = config.thresholds
     if policy.values is not None:
         arm = config.arm_step if config.arm_step is not None else 0
         return {i: policy.values[i] for i in nodes}, arm
-    lead = slice(maps.xs.start, maps.cs.stop)
-    quiet_M, quiet_Es = form(M[lead, lead]), form(maps.Es[:, lead])
-    quiet = np.empty((min(config.horizon, policy.window[1]), quiet_M.shape[0]))
-    s = s[lead]
-    for k in range(len(quiet)):
-        quiet[k] = s
-        s = quiet_M @ s
-    resid = np.sqrt(np.add.reduceat((quiet @ quiet_Es.T) ** 2, n_starts, axis=1))
+    resid = rehearse(min(config.horizon, policy.window[1]))
     _check_finite(resid.reshape(-1, 1), ("resid_coop",), nodes)
     values = calibrate_thresholds(
         dict(zip(nodes, resid.T)), factor=policy.factor, floor=policy.floor, window=policy.window
@@ -789,32 +785,35 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     The designs, the operator, the thresholds and the loop are built once
     each.  The loop state is one augmented vector ``s`` (see ``_operator``)
     that one transition matrix ``M`` advances; the injection enters through
-    a column block of rank m.  A calibrated policy first rehearses the
-    attack-free run on part of ``M`` (``_resolve_thresholds``).  A run
-    without detection has explicit thresholds that are all ``math.inf``.
+    a column block of rank m.  A run without detection has explicit
+    thresholds that are all ``math.inf``.
 
-    The loop advances ``s`` a block of b steps at a time (``_block_size``,
-    from the size of ``s``).  The mode is whether the target's window is
+    ``advance`` moves ``s`` a block of b steps at a time (``_block_size``,
+    from the size of ``s``) and writes each step's state, received errors
+    and their per-node norms.  The mode is whether the target's window is
     full, which adds the fixed rank-(m + n) update ``U V``.  A small
     operator advances a block in one product with the mode's lifted maps
     (``_lift``).  One too large to lift (``_lifted``; the 100-node grid's)
     steps through its nonzeros (``_Nonzeros``), one step at a time in the
     order ``M s``, then ``U (V s)`` once the window is full, then the
-    injection; its dense ``M`` is dropped, and the rehearsal and the log
-    go through the nonzeros too.  A block's received errors
-    are one product, and its loud flags, alarms and unanimity are arrays,
-    once armed.  Step by step in the block run only the decisions of the
-    rare unanimous steps (the fit of the sources' payloads to the node's
-    outbound stack, through a projector built once per candidate) and,
-    after the target's decision, the count of consecutive steps on which
-    every source's alarm is on.  The first step whose count switches the
-    mode cuts the block; the next starts from that step's state.  After
-    the loop every linear trace field is one product over the stored
-    states (gated by the count for the accommodation fields), written into
-    the table under the CSV header's columns.  ``config`` checked itself when built;
-    the attack signal is evaluated before the first step: a value of the
-    wrong length, or a ``ValueError`` or ``ArithmeticError`` it raises, is
-    a ConfigurationError naming the step.
+    injection; its dense ``M`` is dropped, and the received errors and the
+    log go through the nonzeros too.  A calibrated policy first rehearses:
+    ``advance`` up to the window end while the injection is still zero
+    (``_resolve_thresholds``); the loop then starts again from step 0.  A
+    block's loud flags, alarms and unanimity are arrays over its received
+    errors, once armed.  Step by step in the block run only the decisions
+    of the rare unanimous steps (the fit of the sources' payloads to the
+    node's outbound stack, through a projector built once per candidate)
+    and, after the target's decision, the count of consecutive steps on
+    which every source's alarm is on.  The first step whose count switches
+    the mode cuts the block; the next starts from that step's state.  After
+    the loop ``resid_coop`` is the norms, and every other linear trace
+    field is one product over the stored states (gated by the count for the
+    accommodation fields), written into the table under the CSV header's
+    columns.  ``config`` checked itself when built; the attack signal is
+    evaluated before the loop: a value of the wrong length, or a
+    ``ValueError`` or ``ArithmeticError`` it raises, is a
+    ConfigurationError naming the step.
     """
     designs = build_designs(config)
     subsystems = config.subsystems
@@ -849,15 +848,10 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     M, maps = _operator(config, designs, nodes, seg)
     dim = M.shape[0]
     lifted = _lifted(dim)
-    s = np.zeros(dim)
-    s[maps.xs] = np.concatenate([subsystems[i].x0 for i in nodes])
-    thresholds, arm_step = _resolve_thresholds(
-        config, nodes, M, maps, s, n_starts, np.ascontiguousarray if lifted else _Nonzeros)
     if not lifted:  # the nonzeros replace the dense M and the large maps
         M = _Nonzeros(M)
         maps = replace(maps, **{key: _Nonzeros(getattr(maps, key)) for key in ("Es", "Ys", "XLs", "Us")})
     Es, G = maps.Es, maps.G
-    threshold = np.array(list(thresholds.values()))
 
     attack = config.attack
     window = math.inf  # no accommodation update without an attack
@@ -866,19 +860,15 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         tpos = position[target]
         tn, tm = seg["n"][target], seg["m"][target]
         victim = subsystems[target]
+        # zero through the rehearsal; the signal fills it before the loop
         injection = np.zeros((horizon, victim.m))
-        for k in range(onset, horizon):
-            label = f"attacker signal at step {k}"
-            try:
-                value = attack.signal(k)
-            except (ValueError, ArithmeticError) as exc:
-                raise ConfigurationError(f"{label}: {exc}") from exc
-            injection[k] = _vector(value, victim.m, label)
         src_pos = np.array([position[j] for j in designs[target].ls.sources])
         window = designs[target].recon.window
 
-    # per-step logs of what the states do not give
-    states = np.empty((horizon, s.size))
+    # per-step logs: the states, their received errors and norms, and the rest
+    states = np.empty((horizon, dim))
+    errors = np.empty((horizon, Es.shape[0]))
+    norms = np.empty((horizon, n_nodes))
     alarms = np.zeros((horizon, Es.shape[0]))
     alarm_on = np.zeros((horizon, n_nodes))
     decided_step = np.full(n_nodes, -1)
@@ -889,13 +879,7 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     columns = _column_names(subsystems)
     width = len(columns)
     # dest[field]: where each entry of the field, stacked over nodes, lands in one step's rows
-    cell = np.arange(n_nodes * width).reshape(n_nodes, width)
-    dest = {
-        fieldname: np.hstack([
-            cell[pos, _field_columns(columns, subsystems[i], fieldname)] for pos, i in enumerate(nodes)
-        ])
-        for fieldname in (*_VECTOR_FIELDS, *_SCALAR_FIELDS)
-    }
+    dest = _field_cells(columns, subsystems, nodes)
 
     def log(steps: int) -> np.ndarray:
         """The trace table of steps 0..steps-1, one product per linear field."""
@@ -911,8 +895,7 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         rows[:, dest["alarm"]] = alarms[:steps]
         rows[:, dest["resid_loc"]] = np.sqrt(
             np.add.reduceat((y - xhat_loc @ maps.C.T) ** 2, p_starts, axis=1))
-        rows[:, dest["resid_coop"]] = np.sqrt(
-            np.add.reduceat((past @ Es.T) ** 2, n_starts, axis=1))
+        rows[:, dest["resid_coop"]] = norms[:steps]
         rows[:, dest["alarm_on"]] = alarm_on[:steps]
         rows[:, dest["decided"]] = (decided_step >= 0) & (np.arange(steps)[:, None] >= decided_step)
         if attack is not None:
@@ -938,21 +921,27 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         rows[:, dest["u_applied"]] = u
         return table
 
-    armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
     b = _block_size(dim)
     stacks = {}  # mode -> _lift's (Phi, T), built on first use
-    # errs[0]: the received error of the step before the block, then the block's
-    errs = np.empty((b + 1, Es.shape[0]))
-    states[0] = s
-    fill = 0
-    counting_from = horizon  # the window counts from the step after the target's decision
 
-    def advance(k: int, steps: int, mode: bool) -> np.ndarray:
-        """Fill and return ``states[k+1:k+1+steps]`` from ``states[k]``: one
-        product with the mode's lifted maps (``_lift``), or one step at a
-        time through the nonzeros."""
-        block = states[k + 1:k + 1 + steps]
-        if not lifted:
+    def receive(rows: slice) -> None:
+        """Fill ``errors`` and ``norms`` of the steps ``rows`` from their states, in one product."""
+        errors[rows] = states[rows] @ Es.T
+        norms[rows] = np.sqrt(np.add.reduceat(errors[rows] ** 2, n_starts, axis=1))
+
+    def advance(k: int, steps: int, mode: bool) -> None:
+        """Fill the states of steps k+1..k+steps from ``states[k]``, then
+        their received errors (``receive``): one product with the mode's
+        lifted maps (``_lift``), or one step at a time through the nonzeros."""
+        if lifted:
+            if mode not in stacks:
+                stacks[mode] = _lift(M, (maps.U, maps.V) if mode else None, maps.inject, b)
+            Phi, T = stacks[mode]
+            flat = states[k + 1:k + 1 + steps].reshape(-1)
+            np.matmul(Phi[:steps * dim], states[k], out=flat)
+            if T is not None and k + steps > onset:
+                flat += T[:steps * dim, :steps * victim.m] @ injection[k:k + steps].ravel()
+        else:
             for j in range(k, k + steps):
                 s = M @ states[j]
                 if mode:
@@ -960,15 +949,31 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
                 if maps.inject is not None and j >= onset:
                     s += maps.inject @ injection[j]
                 states[j + 1] = s
-            return block
-        if mode not in stacks:
-            stacks[mode] = _lift(M, (maps.U, maps.V) if mode else None, maps.inject, b)
-        Phi, T = stacks[mode]
-        flat = block.reshape(-1)
-        np.matmul(Phi[:steps * dim], states[k], out=flat)
-        if T is not None and k + steps > onset:
-            flat += T[:steps * dim, :steps * victim.m] @ injection[k:k + steps].ravel()
-        return block
+        receive(slice(k + 1, k + 1 + steps))
+
+    def rehearse(steps: int) -> np.ndarray:
+        """The received-error norms of steps 0..steps-1 without the accommodation update or the injection."""
+        for k in range(0, steps - 1, b):
+            advance(k, min(b, steps - 1 - k), False)
+        return norms[:steps]
+
+    states[0] = 0.0
+    states[0, maps.xs] = np.concatenate([subsystems[i].x0 for i in nodes])
+    receive(slice(0, 1))
+    thresholds, arm_step = _resolve_thresholds(config, nodes, rehearse)
+    threshold = np.array(list(thresholds.values()))
+    if attack is not None:
+        for k in range(onset, horizon):
+            label = f"attacker signal at step {k}"
+            try:
+                value = attack.signal(k)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigurationError(f"{label}: {exc}") from exc
+            injection[k] = _vector(value, victim.m, label)
+
+    armed_from = max(arm_step, 1) if np.isfinite(threshold).any() else horizon
+    fill = 0
+    counting_from = horizon  # the window counts from the step after the target's decision
 
     # Step 0 has no events: nothing is armed before step 1, and the window
     # counts only after a decision.  At the top of the loop, states[k] and
@@ -977,28 +982,25 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
     k, mode = 0, False
     while k < horizon - 1:
         # 6-7. control, injection and advance over the next steps, right
-        # for as long as the mode holds
+        # for as long as the mode holds; 2. their received errors
         steps = min(b, horizon - 1 - k)
         last = k + steps
-        block = advance(k, steps, mode)
+        advance(k, steps, mode)
 
-        # 1-3. received errors and alarms of steps k+1..last.  A node is
-        # loud when its received-error norm is strictly above its
-        # threshold, from the arm step on and once two error samples exist.
-        # A loud node's payload is the lagged aggregate err(k) - G err(k-1):
-        # what the coupling pushed into its received error at step k-1.  A
-        # quiet node sends zeros; an alarm is on when its payload is nonzero.
+        # 3. alarms of steps k+1..last.  A node is loud when its
+        # received-error norm is strictly above its threshold, from the arm
+        # step on and once two error samples exist.  A loud node's payload
+        # is the lagged aggregate err(k) - G err(k-1): what the coupling
+        # pushed into its received error at step k-1.  A quiet node sends
+        # zeros; an alarm is on when its payload is nonzero.
         deciding = []
         if last >= armed_from:
-            if k < armed_from:
-                errs[0] = Es @ states[k]
-            err = errs[1:steps + 1]
-            err[:] = block @ Es.T
-            loud = np.sqrt(np.add.reduceat(err * err, n_starts, axis=1)) > threshold
+            loud = norms[k + 1:last + 1] > threshold
             if k + 1 < armed_from:
                 loud[:armed_from - k - 1] = False
             if loud.any():
-                alarm = np.where(loud[:, entry_node], err - errs[:steps] @ G.T, 0.0)
+                err = errors[k:last + 1]
+                alarm = np.where(loud[:, entry_node], err[1:] - err[:-1] @ G.T, 0.0)
                 active = np.logical_or.reduceat(alarm != 0, n_starts, axis=1)
                 alarms[k + 1:last + 1] = alarm
                 alarm_on[k + 1:last + 1] = active
@@ -1054,8 +1056,6 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
                         break
         if cut < last:  # the next block starts from step cut; undo the alarms after it
             alarms[cut + 1:last + 1] = alarm_on[cut + 1:last + 1] = 0.0
-        if last >= armed_from:
-            errs[0] = errs[cut - k]
         k = cut
 
     del M, stacks  # the largest arrays; logging does not need them
@@ -1071,6 +1071,5 @@ def run(config: ScenarioConfig) -> ScenarioTrace:
         thresholds=thresholds,
         arm_step=arm_step,
         decision_steps={i: (k if k >= 0 else None) for i, k in zip(nodes, decided_step.tolist())},
-        designs=designs,
         config=config,
     )

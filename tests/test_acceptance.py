@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from covacc import (
+    build_designs,
     build_ls_estimator,
     kernel_and_projection,
     load_scenario,
@@ -83,8 +84,9 @@ class TestDecoupledErrorRecursions:
     ):
         worst = 0.0
         for trace in (fullrank_trace, lowrank_trace, attack_free_trace, attack_free_lowrank_trace):
+            designs = build_designs(trace.config)
             for i in range(1, 6):
-                F = trace.designs[i].uio.F
+                F = designs[i].uio.F
                 eps = received_loc_errors(trace, i)
                 for k in range(trace.horizon - 1):
                     worst = max(worst, float(np.linalg.norm(eps[k + 1] - F @ eps[k])))
@@ -101,9 +103,10 @@ class TestDecoupledErrorRecursions:
         with pytest.warns(RuntimeWarning):
             cfg = load_scenario(doc)
         moving = run(blind(cfg))
+        designs = build_designs(cfg)
         worst_moving = 0.0
         for i in range(1, 6):
-            F = moving.designs[i].uio.F
+            F = designs[i].uio.F
             eps = received_loc_errors(moving, i)
             assert np.linalg.norm(eps[0]) > 1e-2  # transient actually present
             for k in range(moving.horizon - 1):
@@ -122,12 +125,13 @@ class TestCooperativeErrorRecursion:
         worst = 0.0
         for trace in (fullrank_trace, lowrank_trace):
             topo = trace.config.topology
+            designs = build_designs(trace.config)
             xs = {i: trace.series(i, "x") for i in range(1, 6)}
             xas = {i: trace.series(i, "xa") for i in range(1, 6)}
             xh_loc = {i: trace.series(i, "xhat_loc") for i in range(1, 6)}
             xh_coop = {i: trace.series(i, "xhat_coop") for i in range(1, 6)}
             for i in range(1, 6):
-                Fc = trace.designs[i].coop_transition
+                Fc = designs[i].coop_transition
                 errc = [xs[i][k] - xas[i][k] - xh_coop[i][k] for k in range(trace.horizon)]
                 for k in range(trace.horizon - 1):
                     drive = np.zeros(2)
@@ -218,7 +222,7 @@ class TestExactCompensation:
         cfg = trace.config
         topo = cfg.topology
         sub = cfg.subsystems[3]
-        d = trace.designs[3]
+        d = build_designs(cfg)[3]
         xs = {j: trace.series(j, "x") for j in topo.inbound(3)}
         xh_loc = {j: trace.series(j, "xhat_loc") for j in range(1, 6)}
         x3 = trace.series(3, "x")
@@ -264,7 +268,7 @@ class TestLowRankRegime:
         self, fullrank_trace, lowrank_trace
     ):
         trace = lowrank_trace
-        proj = trace.designs[3].ls.projection
+        proj = build_designs(trace.config)[3].ls.projection
         assert proj.kernel_dim == 1
         np.testing.assert_allclose(np.abs(proj.kernel_basis.ravel()), [0.0, 1.0], atol=1e-12)
 

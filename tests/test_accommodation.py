@@ -14,6 +14,7 @@ from covacc import (
     neighbor_cancellation_gains,
     pseudo_inverse,
 )
+from covacc.accommodation import _relative_degrees
 
 from reference import (
     AccommodationState,
@@ -105,21 +106,21 @@ class TestBuildReconstructor:
         proj = kernel_and_projection(np.vstack([BLK_FULL, BLK_FULL]))
         recon = build_reconstructor(A, B, proj)
         assert recon.window == 2
-        assert sorted(recon.rel_degree) == [1, 2]
+        assert sorted(_relative_degrees(A, B, proj.interacting_map)) == [1, 2]
         assert recon.output_delay == 2
         assert recon.input_offset == 0
 
     def test_low_rank_reference_model(self):
         proj = kernel_and_projection(np.vstack([BLK_LOW, BLK_LOW]))
         recon = build_reconstructor(A, B, proj)
-        assert recon.rel_degree == (2,)
+        assert _relative_degrees(A, B, proj.interacting_map) == [2]
         assert recon.output_delay == 2
         assert recon.input_offset == 1  # one kernel coordinate precedes the inputs
 
     def test_square_input_map_has_unit_delays(self):
         proj = kernel_and_projection(np.eye(2))
         recon = build_reconstructor(A, np.eye(2), proj)
-        assert recon.rel_degree == (1, 1)
+        assert _relative_degrees(A, np.eye(2), proj.interacting_map) == [1, 1]
         assert recon.output_delay == 1
 
     def test_unresponsive_input_rejected(self):
@@ -170,7 +171,7 @@ class TestBuildReconstructor:
         assert (proj.interacting_map.shape[0], B3.shape[1], proj.kernel_dim) == (2, 1, 1)
         recon = build_reconstructor(A3, B3, proj)
         assert recon.window == 3
-        assert recon.rel_degree == (3, 2)
+        assert _relative_degrees(A3, B3, proj.interacting_map) == [3, 2]
         assert recon.output_delay == 3
 
     def test_longer_window_accepted(self):

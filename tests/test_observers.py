@@ -25,7 +25,6 @@ class TestDesignIdentities:
         sub = make_sub()
         d = design_uio(sub, blocks, target_radius=0.5)
         E = np.hstack(blocks)
-        np.testing.assert_array_equal(d.E, E)
         # the decoupling identity that kills the unknown coupling inputs
         np.testing.assert_allclose(d.H @ (sub.C @ E), E, atol=1e-12)
         np.testing.assert_allclose(d.T, np.eye(2) - d.H @ sub.C, atol=1e-12)
@@ -38,7 +37,7 @@ class TestDesignIdentities:
         d = design_uio(sub, [], target_radius=0.2)
         np.testing.assert_array_equal(d.H, np.zeros((2, 0 or 2)))
         np.testing.assert_array_equal(d.T, np.eye(2))
-        assert d.E.shape[1] == 0
+        np.testing.assert_allclose(d.F, sub.A - d.K1 @ sub.C, atol=1e-12)
 
     def test_existence_rejected_when_coupling_invisible(self):
         # single output row cannot see the second state coordinate the
@@ -50,8 +49,9 @@ class TestDesignIdentities:
     def test_existence_accepted_when_visible(self):
         sub = make_sub(C=np.array([[1.0, 0.0]]))
         # coupling only writes the measured coordinate
-        d = design_uio(sub, [np.array([[0.5, 0.0], [0.0, 0.0]])], target_radius=0.9)
-        np.testing.assert_allclose(d.T @ d.E, 0.0, atol=1e-12)
+        block = np.array([[0.5, 0.0], [0.0, 0.0]])
+        d = design_uio(sub, [block], target_radius=0.9)
+        np.testing.assert_allclose(d.T @ block, 0.0, atol=1e-12)
 
 
 class TestDecoupledErrorLaw:

@@ -377,7 +377,14 @@ class TestRehearsal:
         )
         assert trace.thresholds == want
         assert trace.arm_step == policy.window[1]
-        if name == "lowrank_window45":
+        lo, hi = policy.window
+        if hi <= config.attack.onset:
+            # the rehearsal's received errors are the run's up to the onset
+            for i in trace.nodes:
+                peak = max(trace.series(i, "resid_coop")[lo:hi])
+                assert trace.thresholds[i] == policy.factor * peak + policy.floor
+        else:
+            assert name == "lowrank_window45"
             assert trace.decision_steps[config.attack.target] == 45
 
     @pytest.mark.parametrize("explicit", [False, True])
@@ -444,6 +451,23 @@ INVALID = {
     "values_strings": (lambda c: {"thresholds": ThresholdPolicy(values=dict.fromkeys(c.subsystems, "high"))},
                        "thresholds.values[1]"),
 }
+
+
+class TestReceivedErrors:
+    """The alarms and the log read one received-error history."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["fullrank", "lowrank", "lowrank_long", "grid0"])
+    def test_alarm_is_on_exactly_where_the_logged_residual_is_loud(self, request, case):
+        trace = run(oracle_config(request, case))
+        armed = max(trace.arm_step, 1)
+        n_loud = 0
+        for i in trace.nodes:
+            loud = trace.series(i, "resid_coop")[armed:] > trace.thresholds[i]
+            np.testing.assert_array_equal(
+                trace.series(i, "alarm")[armed:].any(axis=1), loud, err_msg=f"node {i}")
+            n_loud += int(np.count_nonzero(loud))
+        assert n_loud > 0
 
 
 class TestScenarioContract:
@@ -710,8 +734,8 @@ class TestNonzeros:
 
     @pytest.mark.parametrize("case", ["empty_rows", "single_row", "long_rows"])
     def test_vector_and_rows_round_alike(self, case):
-        # the loop carries errs[0] = Es @ s into a block whose errors are
-        # X @ Es.T: a different rounding would move an alarm payload at the edge
+        # the run's step-0 received error is Es @ s and the later steps' are
+        # rows of X @ Es.T: a different rounding would move step 1's alarm payload
         A = self.matrix(case)
         nonzeros = scenario._Nonzeros(A)
         X = np.random.default_rng(9).standard_normal((6, A.shape[1]))
@@ -719,21 +743,29 @@ class TestNonzeros:
         assert np.array_equal(X @ nonzeros.T, np.array([nonzeros @ x for x in X]))
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
 class TestThreadInvariance:
-    """A stepped run's CSV bytes do not depend on the BLAS thread count."""
+    """A run's CSV bytes do not depend on the BLAS thread count, stepped or lifted."""
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
     @pytest.mark.parametrize("seed", [0, 20070275])
     def test_grid_csv_same_at_one_and_two_blas_threads(self, tmp_path, seed):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(grid_doc(seed)))
+        self.assert_same_bytes(tmp_path, ["--scenario", str(path)])
+
+    def test_long_lifted_csv_same_at_one_and_two_blas_threads(self, tmp_path):
+        # 1 999 steps of lifted blocks, with accommodation on 1 974 of them
+        self.assert_same_bytes(tmp_path, ["--scenario", "five_node_lowrank", "--horizon", "2000"])
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, args):
         src = str(Path(covacc.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         children = []
         for threads in (1, 2):  # both at once; the thread count is set in the child only
             out = tmp_path / f"threads{threads}.csv"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=pythonpath)
-            command = [sys.executable, "-m", "covacc.cli", "run", "--scenario", str(path), "--out", str(out)]
+            command = [sys.executable, "-m", "covacc.cli", "run", *args, "--out", str(out)]
             children.append((out, subprocess.Popen(
                 command, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)))
         digests = []
